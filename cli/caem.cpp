@@ -37,6 +37,7 @@
 // config-affecting overrides change the sweep digest, and mismatched
 // shards would simply work on different sweeps.
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <exception>
@@ -48,10 +49,13 @@
 #include <thread>
 #include <vector>
 
+#include <semaphore.h>
+
 #include "core/protocol.hpp"
 #include "scenario/engine.hpp"
 #include "scenario/scenario_spec.hpp"
 #include "scenario/shard_manifest.hpp"
+#include "scenario/work_queue.hpp"
 #include "service/http_endpoint.hpp"
 #include "service/sweep_service.hpp"
 #include "util/atomic_file.hpp"
@@ -67,14 +71,44 @@ namespace {
 /// still writes its telemetry marker, and exits instead of leaving a
 /// stale claim for peers to wait a whole lease on.
 std::atomic<bool> g_interrupted{false};
+/// Posted by the handler after the latch is set (sem_post is
+/// async-signal-safe; notifying a condition variable is not).
+sem_t g_interrupt_posted;
 
 void install_interrupt_handler() {
+  ::sem_init(&g_interrupt_posted, 0, 0);
   struct sigaction action {};
-  action.sa_handler = [](int) { g_interrupted.store(true); };
+  action.sa_handler = [](int) {
+    g_interrupted.store(true);
+    ::sem_post(&g_interrupt_posted);
+  };
   sigemptyset(&action.sa_mask);
   ::sigaction(SIGINT, &action, nullptr);
   ::sigaction(SIGTERM, &action, nullptr);
 }
+
+/// Carries the latch to a worker blocked on peers' claims: waits for
+/// the handler's post, then wakes every claim waiter so the drain sees
+/// the flag now rather than at its next filesystem poll.  Destruction
+/// posts once more to end the thread when no signal came.
+class InterruptWaker {
+ public:
+  InterruptWaker()
+      : thread_([] {
+          while (::sem_wait(&g_interrupt_posted) != 0 && errno == EINTR) {
+          }
+          if (g_interrupted.load()) caem::scenario::ClaimBoard::wake_waiters();
+        }) {}
+  InterruptWaker(const InterruptWaker&) = delete;
+  InterruptWaker& operator=(const InterruptWaker&) = delete;
+  ~InterruptWaker() {
+    ::sem_post(&g_interrupt_posted);
+    thread_.join();
+  }
+
+ private:
+  std::thread thread_;
+};
 
 int usage(std::ostream& out, int exit_code) {
   out << "usage:\n"
@@ -271,6 +305,7 @@ int run_command(int argc, char** argv, bool merge) {
   if (cli.lease_s > 0.0) spec.lease_s = cli.lease_s;
   spec.progress_s = cli.progress_s;
   if (merge || cli.require_complete) spec.merge_shards = true;
+  std::optional<InterruptWaker> waker;
   if (spec.worker_mode) {
     // A worker killed mid-drain used to leave its current claim behind
     // until a peer waited out the whole lease.  Latch SIGINT/SIGTERM
@@ -279,6 +314,7 @@ int run_command(int argc, char** argv, bool merge) {
     // and exits 130 — nothing for the survivors to steal.
     install_interrupt_handler();
     spec.cancel = &g_interrupted;
+    waker.emplace();
   }
   print_banner(spec, std::cout);
   std::cout << "\n";

@@ -3,6 +3,7 @@
 #include <deque>
 #include <map>
 #include <mutex>
+#include <ostream>
 #include <stdexcept>
 #include <utility>
 
@@ -215,6 +216,8 @@ std::vector<Protocol> paper_protocols() { return ProtocolRegistry::instance().pa
 std::vector<Protocol> registered_protocols() { return ProtocolRegistry::instance().all(); }
 
 const char* to_string(Protocol protocol) noexcept { return protocol.name(); }
+
+std::ostream& operator<<(std::ostream& os, Protocol protocol) { return os << protocol.name(); }
 
 Protocol protocol_from_string(const std::string& name) {
   return ProtocolRegistry::instance().find(name);

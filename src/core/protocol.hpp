@@ -13,6 +13,7 @@
 #pragma once
 
 #include <functional>
+#include <iosfwd>
 #include <memory>
 #include <string>
 #include <vector>
@@ -166,6 +167,10 @@ class ProtocolRegistry {
 
 /// The protocol's canonical name.
 [[nodiscard]] const char* to_string(Protocol protocol) noexcept;
+
+/// Streams the canonical name, so printed handles (test names, failure
+/// messages) read "caem-scheme1" rather than a process-specific address.
+std::ostream& operator<<(std::ostream& os, Protocol protocol);
 
 /// Resolve "leach", "scheme2", "direct", ... via the registry.  Throws
 /// std::invalid_argument listing every registered name on a bad token.

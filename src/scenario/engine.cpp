@@ -355,12 +355,19 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
 
       std::vector<std::size_t> stored;
       std::vector<std::size_t> queue = cost_order(todo, job_cost);
-      // Poll cadence while every remaining cell is held by a healthy
-      // peer: fast enough to pick freed cells up promptly, and well
-      // under the lease so a stale claim is stolen soon after expiry.
+      // While every remaining cell is held by a healthy peer, block on
+      // the sweep's release epoch (work_queue.hpp, WAIT): a peer in
+      // this process wakes us the moment it stores and releases a cell,
+      // and a cancel wakes us too.  The timeout is the filesystem poll
+      // for peers in OTHER processes — their releases are invisible to
+      // the epoch — kept well under the lease so a stale claim is
+      // stolen soon after expiry.
       const auto poll = std::chrono::duration<double>(std::min(0.5, spec.lease_s / 4.0));
       bool stopped = false;
       while (!queue.empty() && !stopped) {
+        // Snapshot before the pass: a release after it ends the wait
+        // below; one before it stored its cell, which this pass sees.
+        const std::uint64_t epoch = board.release_epoch();
         bool progressed = false;
         std::vector<std::size_t> blocked;
         for (const std::size_t job : queue) {
@@ -410,7 +417,9 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
         }
         queue = std::move(blocked);
         sink.stolen.store(board.stolen());
-        if (!queue.empty() && !stopped && !progressed) std::this_thread::sleep_for(poll);
+        if (!queue.empty() && !stopped && !progressed) {
+          (void)board.wait_release(epoch, poll, spec.cancel);
+        }
       }
       reporter.stop();
       result.cancelled = stopped;

@@ -121,7 +121,9 @@ struct ScenarioSpec {
   /// still publishes its telemetry marker, and returns a partial result
   /// flagged `cancelled`; every other mode throws SweepCancelled (no
   /// partial fold is ever rendered).  Already-finished cells stay
-  /// durably cached either way — cancellation never loses work.
+  /// durably cached either way — cancellation never loses work.  A
+  /// worker blocked on peers' claims re-checks the flag when woken:
+  /// raise it, then call ClaimBoard::wake_waiters() (work_queue.hpp).
   const std::atomic<bool>* cancel = nullptr;
 
   /// Record every cache hit in the entry's `.touch` sidecar so the

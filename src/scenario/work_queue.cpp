@@ -2,11 +2,15 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <mutex>
 #include <random>
 #include <sstream>
 #include <stdexcept>
+#include <vector>
 
 #include <unistd.h>
 
@@ -17,7 +21,54 @@ namespace caem::scenario {
 
 namespace fs = std::filesystem;
 
+struct ReleaseSignal {
+  std::mutex mutex;
+  std::condition_variable cv;
+  std::uint64_t epoch = 0;
+};
+
 namespace {
+
+/// Claim dir -> its sweep's release signal.  Entries are weak: a signal
+/// lives exactly as long as the boards sharing it, and the last board's
+/// drop erases its entry, so a long-running daemon serving sweep after
+/// sweep holds state only for the sweeps it is draining right now.
+struct ReleaseRegistry {
+  std::mutex mutex;
+  std::map<std::string, std::weak_ptr<ReleaseSignal>> signals;
+};
+
+ReleaseRegistry& release_registry() {
+  // Leaked on purpose: boards may outlive static destruction order.
+  static ReleaseRegistry& registry = *new ReleaseRegistry();
+  return registry;
+}
+
+std::shared_ptr<ReleaseSignal> acquire_signal(const std::string& dir) {
+  // One key per directory however the cache root was spelled.
+  std::error_code error;
+  fs::path key = fs::absolute(dir, error);
+  if (error) key = dir;
+  const std::string name = key.lexically_normal().string();
+
+  ReleaseRegistry& registry = release_registry();
+  const std::lock_guard<std::mutex> lock(registry.mutex);
+  std::weak_ptr<ReleaseSignal>& slot = registry.signals[name];
+  if (std::shared_ptr<ReleaseSignal> live = slot.lock()) return live;
+  std::shared_ptr<ReleaseSignal> fresh(new ReleaseSignal(), [name](ReleaseSignal* signal) {
+    {
+      ReleaseRegistry& owner = release_registry();
+      const std::lock_guard<std::mutex> guard(owner.mutex);
+      const auto it = owner.signals.find(name);
+      // A board built after our count hit zero may already own a new
+      // signal under this name: erase only an expired slot.
+      if (it != owner.signals.end() && it->second.expired()) owner.signals.erase(it);
+    }
+    delete signal;
+  });
+  slot = fresh;
+  return fresh;
+}
 
 std::string local_hostname() {
   char buffer[256] = {0};
@@ -58,6 +109,7 @@ ClaimBoard::ClaimBoard(const std::string& cache_root, const std::string& sweep, 
   if (cache_root.empty()) throw std::invalid_argument("ClaimBoard: empty cache directory");
   if (sweep.empty()) throw std::invalid_argument("ClaimBoard: empty sweep digest");
   if (!(lease_s > 0.0)) throw std::invalid_argument("ClaimBoard: lease must be > 0 seconds");
+  signal_ = acquire_signal(dir_);
   // host:pid:nonce-random — unique across hosts (hostname), processes
   // (pid), and boards within one process (nonce); the random suffix
   // guards against pid reuse across a crash/restart on one host.
@@ -83,7 +135,11 @@ std::string ClaimBoard::claim_body(std::size_t job) const {
 }
 
 std::optional<ClaimInfo> ClaimBoard::peek(std::size_t job) const {
-  std::ifstream in(claim_path(job), std::ios::binary);
+  return read_claim(claim_path(job), job);
+}
+
+std::optional<ClaimInfo> ClaimBoard::read_claim(const std::string& path, std::size_t job) const {
+  std::ifstream in(path, std::ios::binary);
   if (!in) return std::nullopt;
   std::ostringstream buffer;
   buffer << in.rdbuf();
@@ -106,7 +162,7 @@ std::optional<ClaimInfo> ClaimBoard::peek(std::size_t job) const {
   }
 }
 
-bool ClaimBoard::take(std::size_t job) {
+bool ClaimBoard::take(std::size_t job, const std::optional<ClaimInfo>& judged) {
   // rename with a destination unique to (this board, this attempt) is a
   // filesystem test-and-take: of N racing stealers exactly one rename
   // finds the source present and succeeds; the rest get ENOENT.
@@ -116,8 +172,18 @@ bool ClaimBoard::take(std::size_t job) {
   std::error_code error;
   fs::rename(from, to, error);
   if (error) return false;
-  fs::remove(to, error);  // best-effort cleanup of the evicted claim
-  return true;
+  // The rename moves whatever claim stands NOW.  A faster stealer may
+  // have evicted the judged corpse and published its own live claim
+  // since our look: put that claim back instead of evicting it.  (If a
+  // third claim appeared in between, the link fails and two holders
+  // run the cell — wasteful, but stores are idempotent.)
+  const std::optional<ClaimInfo> moved = read_claim(to, job);
+  const bool judged_one = moved.has_value() == judged.has_value() &&
+                          (!moved.has_value() || (moved->token == judged->token &&
+                                                  moved->epoch_ms == judged->epoch_ms));
+  if (!judged_one) fs::create_hard_link(to, from, error);
+  fs::remove(to, error);  // best-effort cleanup of the moved file
+  return judged_one;
 }
 
 ClaimBoard::Claim ClaimBoard::try_claim(std::size_t job) {
@@ -134,7 +200,7 @@ ClaimBoard::Claim ClaimBoard::try_claim(std::size_t job) {
       if (!fs::exists(path, error)) continue;  // holder released: re-try the acquire
       // Present but unreadable: a claim is published complete (temp +
       // hard link), so this is hand damage — evict it like a stale one.
-      if (take(job)) ++stolen_;
+      if (take(job, std::nullopt)) ++stolen_;
       continue;
     }
     if (standing->token == token_) return Claim::kWon;  // already ours
@@ -154,7 +220,7 @@ ClaimBoard::Claim ClaimBoard::try_claim(std::size_t job) {
     const bool expired = now > standing->epoch_ms + lease_ms;
     const bool future_dated = standing->epoch_ms > now + lease_ms;
     if (!expired && !future_dated) return Claim::kBusy;  // healthy holder
-    if (take(job)) ++stolen_;
+    if (take(job, standing)) ++stolen_;
     // Lost the steal race (or won it): either way loop — the next pass
     // acquires, or observes the winning stealer's fresh claim as busy.
   }
@@ -172,6 +238,52 @@ void ClaimBoard::refresh(std::size_t job) const {
 void ClaimBoard::release(std::size_t job) const {
   std::error_code error;
   fs::remove(claim_path(job), error);  // best-effort: a leftover claim merely expires
+  // Bump AFTER the remove (and the caller's store before it): a waiter
+  // woken here finds the cell cached or claimable on its next pass.
+  {
+    const std::lock_guard<std::mutex> lock(signal_->mutex);
+    ++signal_->epoch;
+  }
+  signal_->cv.notify_all();
+}
+
+std::uint64_t ClaimBoard::release_epoch() const {
+  const std::lock_guard<std::mutex> lock(signal_->mutex);
+  return signal_->epoch;
+}
+
+bool ClaimBoard::wait_release(std::uint64_t seen, std::chrono::duration<double> timeout,
+                              const std::atomic<bool>* cancel) const {
+  std::unique_lock<std::mutex> lock(signal_->mutex);
+  return signal_->cv.wait_for(lock, timeout, [&] {
+    return signal_->epoch != seen || (cancel != nullptr && cancel->load());
+  });
+}
+
+void ClaimBoard::wake_waiters() {
+  std::vector<std::shared_ptr<ReleaseSignal>> live;
+  {
+    ReleaseRegistry& registry = release_registry();
+    const std::lock_guard<std::mutex> lock(registry.mutex);
+    for (const auto& [dir, slot] : registry.signals) {
+      (void)dir;
+      if (std::shared_ptr<ReleaseSignal> signal = slot.lock()) live.push_back(std::move(signal));
+    }
+  }
+  // Lock each signal before notifying: a waiter that checked its cancel
+  // flag just before the caller raised it is then already asleep on the
+  // condition and receives this notify.  `live` may hold a signal's last
+  // reference, so it is released only after the registry lock.
+  for (const std::shared_ptr<ReleaseSignal>& signal : live) {
+    { const std::lock_guard<std::mutex> lock(signal->mutex); }
+    signal->cv.notify_all();
+  }
+}
+
+std::size_t ClaimBoard::tracked_sweeps() {
+  ReleaseRegistry& registry = release_registry();
+  const std::lock_guard<std::mutex> lock(registry.mutex);
+  return registry.signals.size();
 }
 
 }  // namespace caem::scenario

@@ -31,9 +31,21 @@
 // STEAL     rename the stale claim to a name unique to the stealer.
 //           rename succeeds for exactly one of N racing stealers (the
 //           rest get ENOENT) — a filesystem test-and-take — after which
-//           the winner deletes the moved file and ACQUIREs normally.
+//           the winner deletes the moved file and ACQUIREs normally.  A
+//           late stealer whose rename instead moved a claim published
+//           after its look (the winner's fresh one) links it back.
 // RELEASE   the holder deletes its claim after the cell's result is
-//           durably stored in the cache.
+//           durably stored in the cache, then bumps the sweep's
+//           in-process release epoch and notifies its waiters.
+// WAIT      a worker whose every remaining cell is held by a healthy
+//           peer snapshots the release epoch BEFORE its pass over the
+//           queue and, if the pass made no progress, blocks in
+//           wait_release() until the epoch moves.  A release before the
+//           snapshot stored its cell first, so the pass already saw a
+//           cache hit; a release after it ends the wait — no wakeup is
+//           lost.  Only peers in THIS process bump the epoch: the wait's
+//           timeout is the filesystem poll that picks up cross-process
+//           releases and lets stale claims be stolen after expiry.
 //
 // Completion is NEVER inferred from claims: a cell is done iff its
 // result-cache entry exists (checked before any claim attempt), so a
@@ -46,8 +58,11 @@
 // publish-by-rename.
 #pragma once
 
+#include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 
@@ -62,6 +77,9 @@ struct ClaimInfo {
   std::uint64_t epoch_ms = 0;  ///< last acquire/refresh wall-clock stamp
   double lease_s = 0.0;        ///< staleness horizon the claimant announced
 };
+
+/// One sweep's in-process release epoch (defined in work_queue.cpp).
+struct ReleaseSignal;
 
 class ClaimBoard {
  public:
@@ -86,8 +104,25 @@ class ClaimBoard {
   void refresh(std::size_t job) const;
 
   /// Drop this board's claim on `job` (call after the cell's result is
-  /// durably stored).
+  /// durably stored), then wake this process's waiters on the sweep.
   void release(std::size_t job) const;
+
+  /// In-process release counter of this board's sweep, shared by every
+  /// live board on the same claim dir.  Snapshot it before a pass.
+  [[nodiscard]] std::uint64_t release_epoch() const;
+
+  /// Block until the release epoch moves past `seen`, `*cancel` is
+  /// raised, or `timeout` elapses.  True unless it timed out.
+  bool wait_release(std::uint64_t seen, std::chrono::duration<double> timeout,
+                    const std::atomic<bool>* cancel = nullptr) const;
+
+  /// Wake every waiter of every sweep so it re-checks its cancel flag:
+  /// call after raising a flag a drain passed to wait_release().
+  static void wake_waiters();
+
+  /// Sweeps with at least one live board in this process (the release
+  /// registry's size; an entry lives exactly as long as its boards).
+  [[nodiscard]] static std::size_t tracked_sweeps();
 
   /// Read the standing claim; std::nullopt when absent or unreadable.
   [[nodiscard]] std::optional<ClaimInfo> peek(std::size_t job) const;
@@ -105,9 +140,13 @@ class ClaimBoard {
  private:
   [[nodiscard]] std::string claim_path(std::size_t job) const;
   [[nodiscard]] std::string claim_body(std::size_t job) const;
+  /// Parse the claim file at `path` as job `job`'s claim.
+  [[nodiscard]] std::optional<ClaimInfo> read_claim(const std::string& path,
+                                                    std::size_t job) const;
   /// Atomically take a claim file away from its (stale) holder.  True
-  /// when this board's rename won the race.
-  [[nodiscard]] bool take(std::size_t job);
+  /// when this board's rename won the race AND moved the very claim that
+  /// was judged dead (`judged`; nullopt = an unreadable one).
+  [[nodiscard]] bool take(std::size_t job, const std::optional<ClaimInfo>& judged);
 
   std::string sweep_;
   std::string dir_;
@@ -115,6 +154,7 @@ class ClaimBoard {
   std::string host_;
   double lease_s_;
   std::size_t stolen_ = 0;
+  std::shared_ptr<ReleaseSignal> signal_;  ///< shared per claim dir
 };
 
 }  // namespace caem::scenario

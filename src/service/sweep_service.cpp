@@ -8,6 +8,7 @@
 
 #include "scenario/result_cache.hpp"
 #include "scenario/sweep.hpp"
+#include "scenario/work_queue.hpp"
 #include "sim/kernel_stats.hpp"
 #include "util/config.hpp"
 #include "util/table_writer.hpp"
@@ -18,21 +19,6 @@ namespace fs = std::filesystem;
 
 namespace {
 
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c; break;
-    }
-  }
-  return out;
-}
-
 HttpResponse json_response(int status, std::string body) {
   HttpResponse response;
   response.status = status;
@@ -42,7 +28,7 @@ HttpResponse json_response(int status, std::string body) {
 }
 
 HttpResponse error_response(int status, const std::string& message) {
-  return json_response(status, "{\"error\":\"" + json_escape(message) + "\"}\n");
+  return json_response(status, "{\"error\":\"" + util::json_escape(message) + "\"}\n");
 }
 
 /// Split "/sweeps/s1/artifacts/traces/p0_leach.csv" into segments.
@@ -112,6 +98,7 @@ void SweepService::stop() {
       if (sweep->state == State::kQueued) sweep->state = State::kCancelled;
     }
   }
+  scenario::ClaimBoard::wake_waiters();  // drains blocked on a peer's claim
   cv_.notify_all();
   if (dispatcher_.joinable()) dispatcher_.join();
   janitor_->stop();
@@ -288,7 +275,7 @@ HttpResponse SweepService::sweep_status(const std::string& id) {
     out << -1;  // unknown yet
   }
   out << ",\"wall_s\":" << util::format_full(elapsed_s) << ",\"workers\":" << workers.str();
-  if (!sweep.error.empty()) out << ",\"error\":\"" << json_escape(sweep.error) << '"';
+  if (!sweep.error.empty()) out << ",\"error\":\"" << util::json_escape(sweep.error) << '"';
   if (sweep.state == State::kDone) {
     out << ",\"artifacts\":[";
     bool first = true;
@@ -298,7 +285,7 @@ HttpResponse SweepService::sweep_status(const std::string& id) {
       if (!walk->is_regular_file(error) || error) continue;
       if (!first) out << ',';
       first = false;
-      out << '"' << json_escape(fs::relative(walk->path(), sweep.artifacts_dir).string())
+      out << '"' << util::json_escape(fs::relative(walk->path(), sweep.artifacts_dir).string())
           << '"';
     }
     out << ']';
@@ -313,6 +300,7 @@ HttpResponse SweepService::sweep_cancel(const std::string& id) {
   if (it == sweeps_.end()) return error_response(404, "no sweep '" + id + "'");
   Sweep& sweep = *it->second;
   sweep.cancel.store(true);
+  scenario::ClaimBoard::wake_waiters();  // drains blocked on a peer's claim
   if (sweep.state == State::kQueued) sweep.state = State::kCancelled;
   return json_response(200, "{\"id\":\"" + id + "\",\"state\":\"" +
                                 to_string(sweep.state) + "\",\"cancelling\":true}\n");
@@ -375,7 +363,7 @@ HttpResponse SweepService::stats() {
     }
   }
   std::ostringstream out;
-  out << "{\"store\":{\"dir\":\"" << json_escape(config_.store_dir)
+  out << "{\"store\":{\"dir\":\"" << util::json_escape(config_.store_dir)
       << "\",\"bytes\":" << store_bytes << ",\"entries\":" << store_entries
       << ",\"budget_bytes\":" << config_.store_budget_bytes
       << ",\"evicted\":" << janitor_->total_evicted()
@@ -393,8 +381,10 @@ HttpResponse SweepService::stats() {
 
 bool SweepService::wait_idle(double timeout_s) {
   std::unique_lock<std::mutex> lock(mutex_);
+  // Judge by state alone: a sweep cancelled while queued stays in
+  // queue_ until the dispatcher pops it, and that pop notifies nobody —
+  // waiting on an empty queue_ would sleep out the whole timeout.
   return cv_.wait_for(lock, std::chrono::duration<double>(timeout_s), [this] {
-    if (!queue_.empty()) return false;
     for (const auto& [id, sweep] : sweeps_) {
       (void)id;
       if (sweep->state == State::kQueued || sweep->state == State::kRunning) return false;
@@ -451,7 +441,8 @@ void SweepService::run_sweep(Sweep& sweep) {
           const std::lock_guard<std::mutex> lock(error_mutex);
           if (first_error.empty()) first_error = error.what();
         }
-        sweep.cancel.store(true);  // siblings stop at their next cell
+        sweep.cancel.store(true);  // siblings stop at their next cell ...
+        scenario::ClaimBoard::wake_waiters();  // ... or wake from a wait
       }
     });
   }

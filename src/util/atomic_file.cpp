@@ -18,7 +18,9 @@ namespace {
 /// temp file) and return it.  Throws with the temp cleaned up.
 fs::path write_temp(const fs::path& target, std::string_view bytes, const std::string& what) {
   std::error_code error;
-  fs::create_directories(target.parent_path(), error);
+  // A bare file name has no parent to create (and create_directories
+  // rejects the empty path).
+  if (target.has_parent_path()) fs::create_directories(target.parent_path(), error);
   if (error) {
     throw std::runtime_error(what + ": cannot create '" + target.parent_path().string() +
                              "': " + error.message());

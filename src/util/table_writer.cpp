@@ -28,6 +28,36 @@ std::string format_full(double value) {
   return ec == std::errc() ? std::string(buffer, ptr) : std::string{};
 }
 
+std::string json_escape(const std::string& text) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::string escaped;
+  escaped.reserve(text.size() + 2);
+  for (const char c : text) {
+    switch (c) {
+      case '"': escaped += "\\\""; break;
+      case '\\': escaped += "\\\\"; break;
+      case '\b': escaped += "\\b"; break;
+      case '\f': escaped += "\\f"; break;
+      case '\n': escaped += "\\n"; break;
+      case '\r': escaped += "\\r"; break;
+      case '\t': escaped += "\\t"; break;
+      default: {
+        const auto byte = static_cast<unsigned char>(c);
+        if (byte < 0x20) {
+          // RFC 8259: no control character may appear raw in a string.
+          escaped += "\\u00";
+          escaped += kHex[byte >> 4];
+          escaped += kHex[byte & 0xf];
+        } else {
+          escaped += c;
+        }
+        break;
+      }
+    }
+  }
+  return escaped;
+}
+
 TableWriter::TableWriter(std::vector<std::string> headers) : headers_(std::move(headers)) {}
 
 TableWriter& TableWriter::new_row() {
@@ -85,23 +115,6 @@ std::string csv_escape(const std::string& cell) {
     else escaped += c;
   }
   escaped += '"';
-  return escaped;
-}
-}  // namespace
-
-namespace {
-std::string json_escape(const std::string& text) {
-  std::string escaped;
-  escaped.reserve(text.size() + 2);
-  for (const char c : text) {
-    switch (c) {
-      case '"': escaped += "\\\""; break;
-      case '\\': escaped += "\\\\"; break;
-      case '\n': escaped += "\\n"; break;
-      case '\t': escaped += "\\t"; break;
-      default: escaped += c; break;
-    }
-  }
   return escaped;
 }
 

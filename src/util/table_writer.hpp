@@ -51,4 +51,9 @@ class TableWriter {
 /// compute/cache-load round trip is a tested contract.
 [[nodiscard]] std::string format_full(double value);
 
+/// Escape `text` for the inside of a JSON string literal: quote,
+/// backslash and every control byte below 0x20 (\b \f \n \r \t by name,
+/// the rest as \u00XX).  Other bytes, UTF-8 included, pass through.
+[[nodiscard]] std::string json_escape(const std::string& text);
+
 }  // namespace caem::util

@@ -1,4 +1,4 @@
-// Tests for util::Config and util::Logger.
+// Tests for util::Config, util::Logger and util::atomic_write_file.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -6,6 +6,9 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
+#include "util/atomic_file.hpp"
 #include "util/config.hpp"
 #include "util/logging.hpp"
 
@@ -166,6 +169,19 @@ TEST(Logger, LevelGatingAndSink) {
 TEST(Logger, ToStringNames) {
   EXPECT_STREQ(to_string(LogLevel::kTrace), "TRACE");
   EXPECT_STREQ(to_string(LogLevel::kError), "ERROR");
+}
+
+TEST(AtomicFile, WritesABareFileNameInTheWorkingDirectory) {
+  // `caem fetch ... --out=name.csv` names no directory: there is no
+  // parent to create, and the write must still land.
+  const std::string name = "caem_atomic_bare_" + std::to_string(::getpid()) + ".txt";
+  atomic_write_file(name, "payload", "bare name");
+  std::ifstream in(name, std::ios::binary);
+  std::string text;
+  std::getline(in, text);
+  EXPECT_EQ(text, "payload");
+  EXPECT_FALSE(atomic_create_file(name, "again", "bare name"));  // already present
+  std::filesystem::remove(name);
 }
 
 }  // namespace

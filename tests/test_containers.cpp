@@ -1,4 +1,4 @@
-// Tests for util::RingBuffer and util::TableWriter.
+// Tests for util::RingBuffer, util::TableWriter and util::json_escape.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -112,6 +112,28 @@ TEST(TableWriter, NumericCells) {
   EXPECT_NE(out.find("42"), std::string::npos);
   EXPECT_NE(out.find("3.14"), std::string::npos);
   EXPECT_EQ(table.row_count(), 1u);
+}
+
+TEST(JsonEscape, EscapesEveryControlByte) {
+  EXPECT_EQ(json_escape("plain ascii, \xc3\xa9 utf-8"), "plain ascii, \xc3\xa9 utf-8");
+  EXPECT_EQ(json_escape("q\"b\\"), "q\\\"b\\\\");
+  EXPECT_EQ(json_escape("\b\f\n\r\t"), "\\b\\f\\n\\r\\t");
+  EXPECT_EQ(json_escape(std::string(1, '\0')), "\\u0000");
+  EXPECT_EQ(json_escape("\x01\x1b\x1f"), "\\u0001\\u001b\\u001f");
+  EXPECT_EQ(json_escape("\x7f "), "\x7f ");  // DEL and space are legal raw
+  // No byte below 0x20 survives, whatever the input.
+  std::string all;
+  for (int c = 0; c < 0x20; ++c) all += static_cast<char>(c);
+  for (const char c : json_escape(all)) EXPECT_GE(static_cast<unsigned char>(c), 0x20);
+}
+
+TEST(TableWriter, JsonEscapesControlBytesInCells) {
+  TableWriter table({"name\r"});
+  table.new_row().cell(std::string("a\rb\x02"));
+  std::ostringstream out;
+  table.render_json(out);
+  EXPECT_NE(out.str().find("\"name\\r\": \"a\\rb\\u0002\""), std::string::npos) << out.str();
+  EXPECT_EQ(out.str().find('\r'), std::string::npos);
 }
 
 TEST(FormatFixed, Precision) {

@@ -98,6 +98,13 @@ TEST(Protocol, NamesRoundTrip) {
   EXPECT_THROW(protocol_from_string("bogus"), std::invalid_argument);
 }
 
+TEST(Protocol, PrintsCanonicalName) {
+  // gtest prints parameterised-test values through operator<<, so test
+  // names carry the protocol name instead of the handle's address.
+  EXPECT_EQ(::testing::PrintToString(protocol_from_string("scheme1")), "caem-scheme1");
+  EXPECT_EQ(::testing::PrintToString(Protocol{}), "pure-leach");
+}
+
 TEST(NetworkConfig, DigestIsCanonicalAndKnobSensitive) {
   const NetworkConfig base;
   // Deterministic and value-based: two default-constructed configs agree.

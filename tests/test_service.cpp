@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -218,6 +219,22 @@ TEST(SweepService, ConcurrentPollersSeeConsistentProgress) {
   fs::remove_all(store);
 }
 
+TEST(SweepService, ErrorBodiesEscapeControlBytes) {
+  // A key with an embedded CR (a hand-edited CRLF body) is echoed back
+  // in the 400 message: the JSON must carry it escaped, never raw.
+  const fs::path store = scratch_dir("escape_store");
+  SweepService service(serve_config(store));
+  const HttpResponse rejected =
+      service.handle(make_request("POST", "/sweeps", "scenario.name = x\r\nbad\rkey\x01 = 1\r\n"));
+  EXPECT_EQ(rejected.status, 400);
+  EXPECT_TRUE(contains(rejected.body, "bad\\rkey\\u0001")) << rejected.body;
+  for (const char c : rejected.body.substr(0, rejected.body.size() - 1)) {
+    EXPECT_GE(static_cast<unsigned char>(c), 0x20) << rejected.body;
+  }
+  service.stop();
+  fs::remove_all(store);
+}
+
 TEST(SweepService, QueuedSweepCancelsImmediatelyAndGatesArtifacts) {
   const fs::path store = scratch_dir("cancel_store");
   SweepService service(serve_config(store));
@@ -236,7 +253,12 @@ TEST(SweepService, QueuedSweepCancelsImmediatelyAndGatesArtifacts) {
   EXPECT_EQ(cancelled.status, 200);
   EXPECT_TRUE(contains(cancelled.body, "\"cancelling\":true"));
 
+  // The cancelled queue entry must not leave wait_idle sleeping out its
+  // timeout once s1 is done.
+  const auto idle_from = std::chrono::steady_clock::now();
   ASSERT_TRUE(service.wait_idle(120.0));
+  EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() - idle_from).count(),
+            60.0);
   EXPECT_TRUE(contains(service.handle(make_request("GET", "/sweeps/s1")).body,
                        "\"state\":\"done\""));
   EXPECT_TRUE(contains(service.handle(make_request("GET", "/sweeps/s2")).body,

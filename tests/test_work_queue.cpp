@@ -259,6 +259,115 @@ TEST(ClaimBoard, CorruptClaimIsEvictedNotTrusted) {
   fs::remove_all(cache);
 }
 
+// ------------------------------------------------- in-process release wake
+
+using Clock = std::chrono::steady_clock;
+
+double seconds_since(Clock::time_point start) {
+  return std::chrono::duration<double>(Clock::now() - start).count();
+}
+
+TEST(ClaimBoard, WakeOnReleaseIsNeverLost) {
+  const fs::path cache = scratch_dir("wake_lost");
+  ClaimBoard holder = make_board(cache, kSweep, 30.0);
+  const ClaimBoard waiter = make_board(cache, kSweep, 30.0);
+
+  // A release that lands between the snapshot and the wait: the epoch
+  // has already moved, so the wait returns at once instead of sleeping
+  // out its timeout.
+  const std::uint64_t seen = waiter.release_epoch();
+  ASSERT_EQ(holder.try_claim(0), ClaimBoard::Claim::kWon);
+  holder.release(0);
+  EXPECT_NE(waiter.release_epoch(), seen);
+  auto start = Clock::now();
+  EXPECT_TRUE(waiter.wait_release(seen, std::chrono::seconds(60)));
+  EXPECT_LT(seconds_since(start), 5.0);
+
+  // A release while the waiter is already asleep wakes it too.
+  const std::uint64_t current = waiter.release_epoch();
+  ASSERT_EQ(holder.try_claim(1), ClaimBoard::Claim::kWon);
+  std::atomic<bool> woken{false};
+  start = Clock::now();
+  std::thread sleeper([&] { woken.store(waiter.wait_release(current, std::chrono::seconds(60))); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  holder.release(1);
+  sleeper.join();
+  EXPECT_TRUE(woken.load());
+  EXPECT_LT(seconds_since(start), 5.0);
+
+  // Nothing released: the wait is the plain timeout.
+  EXPECT_FALSE(waiter.wait_release(waiter.release_epoch(), std::chrono::milliseconds(20)));
+  fs::remove_all(cache);
+}
+
+TEST(ClaimBoard, WakeIsScopedToTheReleasingSweep) {
+  const fs::path cache = scratch_dir("wake_scoped");
+  ClaimBoard sweep_a = make_board(cache, "aaaaaaaaaaaaaaaa", 30.0);
+  const ClaimBoard sweep_b = make_board(cache, "bbbbbbbbbbbbbbbb", 30.0);
+  // A second spelling of sweep A's cache root shares A's epoch.
+  const ClaimBoard sweep_a_alias = make_board(cache / "." / "", "aaaaaaaaaaaaaaaa", 30.0);
+
+  const std::uint64_t seen_a = sweep_a_alias.release_epoch();
+  const std::uint64_t seen_b = sweep_b.release_epoch();
+  std::atomic<bool> b_woken{true};
+  std::thread waiter_b([&] {
+    b_woken.store(sweep_b.wait_release(seen_b, std::chrono::milliseconds(300)));
+  });
+  ASSERT_EQ(sweep_a.try_claim(0), ClaimBoard::Claim::kWon);
+  sweep_a.release(0);
+  waiter_b.join();
+  EXPECT_FALSE(b_woken.load());  // B timed out: A's release is not B's
+  EXPECT_EQ(sweep_b.release_epoch(), seen_b);
+  EXPECT_NE(sweep_a_alias.release_epoch(), seen_a);
+  EXPECT_TRUE(sweep_a_alias.wait_release(seen_a, std::chrono::seconds(60)));
+  fs::remove_all(cache);
+}
+
+TEST(ClaimBoard, WakeWaitersEndsACancelledWait) {
+  const fs::path cache = scratch_dir("wake_cancel");
+  const ClaimBoard board = make_board(cache, kSweep, 30.0);
+  std::atomic<bool> cancel{false};
+  std::atomic<bool> woken{false};
+  const auto start = Clock::now();
+  std::thread waiter([&] {
+    woken.store(board.wait_release(board.release_epoch(), std::chrono::seconds(60), &cancel));
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  cancel.store(true);
+  ClaimBoard::wake_waiters();
+  waiter.join();
+  EXPECT_TRUE(woken.load());
+  EXPECT_LT(seconds_since(start), 5.0);
+  // A raised flag also short-circuits a wait that starts after it.
+  EXPECT_TRUE(board.wait_release(board.release_epoch(), std::chrono::seconds(60), &cancel));
+  fs::remove_all(cache);
+}
+
+TEST(ClaimBoard, WakeRegistryForgetsASweepWithItsLastBoard) {
+  // A daemon serving sweep after sweep must not keep one epoch per
+  // sweep ever served: the entry lives exactly as long as its boards.
+  const fs::path cache = scratch_dir("wake_registry");
+  const std::size_t before = ClaimBoard::tracked_sweeps();
+  {
+    const ClaimBoard first = make_board(cache, "cccccccccccccccc", 30.0);
+    EXPECT_EQ(ClaimBoard::tracked_sweeps(), before + 1);
+    {
+      const ClaimBoard second = make_board(cache, "cccccccccccccccc", 30.0);
+      const ClaimBoard other = make_board(cache, "dddddddddddddddd", 30.0);
+      EXPECT_EQ(ClaimBoard::tracked_sweeps(), before + 2);
+    }
+    EXPECT_EQ(ClaimBoard::tracked_sweeps(), before + 1);  // `first` still live
+  }
+  EXPECT_EQ(ClaimBoard::tracked_sweeps(), before);
+  // A sweep drained again later starts a fresh entry, and drops it again.
+  {
+    const ClaimBoard again = make_board(cache, "cccccccccccccccc", 30.0);
+    EXPECT_EQ(ClaimBoard::tracked_sweeps(), before + 1);
+  }
+  EXPECT_EQ(ClaimBoard::tracked_sweeps(), before);
+  fs::remove_all(cache);
+}
+
 // ----------------------------------------------------------- cost model
 
 TEST(CostModel, StaticCostIsNodesTimesHorizon) {
@@ -557,6 +666,95 @@ TEST(Worker, HalfStoredCellsAreSkippedAndStaleClaimsStolenExactlyOnce) {
   // ...while the stolen cell's claim was released after the store.
   EXPECT_FALSE(fs::exists(claims / "job_5.claim"));
   for (const std::string& path : paths) EXPECT_TRUE(cache.load(path).has_value());
+  fs::remove_all(cache_dir);
+}
+
+// ------------------------------------------- drain wakes on peer release
+
+/// One-cell sweep: the drain has nothing to do but wait on its peer.
+ScenarioSpec one_cell_spec(const fs::path& cache_dir) {
+  ScenarioSpec spec = battery_spec();
+  spec.protocols = {core::protocol_from_string("scheme2")};
+  spec.replications = 1;
+  spec.axes = {Axis{"traffic_rate_pps", {"3"}}};
+  spec.cache_dir = cache_dir.string();
+  spec.worker_mode = true;
+  spec.lease_s = 30.0;  // poll = min(0.5 s, lease / 4) = 0.5 s
+  return spec;
+}
+
+TEST(Worker, WakeDrainOnInProcessPeerRelease) {
+  const fs::path side_dir = scratch_dir("wake_drain_side");
+  const fs::path cache_dir = scratch_dir("wake_drain");
+  const ScenarioSpec spec = one_cell_spec(cache_dir);
+  ASSERT_EQ(spec.total_jobs(), 1u);
+
+  // The "peer's" result, computed up front in a side cache.
+  ScenarioSpec side = spec;
+  side.cache_dir = side_dir.string();
+  side.worker_mode = false;
+  (void)run_scenario(side);
+  const ResultCache side_cache(side_dir.string());
+  const std::optional<core::RunResult> computed = side_cache.load(job_paths(side, side_cache)[0]);
+  ASSERT_TRUE(computed.has_value());
+  const ResultCache cache(cache_dir.string());
+  const std::string entry = job_paths(spec, cache)[0];
+
+  // The peer: a second board in this process holding the only claim.
+  ClaimBoard peer = make_board(cache_dir, digest_of(spec, cache), 30.0);
+  ASSERT_EQ(peer.try_claim(0), ClaimBoard::Claim::kWon);
+
+  std::atomic<bool> done{false};
+  ScenarioResult result;
+  std::thread drain([&] {
+    result = run_scenario(spec);
+    done.store(true);
+  });
+  // While the claim is held the drain blocks: it neither executes the
+  // cell nor gives up.
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  EXPECT_FALSE(done.load());
+
+  cache.store(entry, *computed);
+  const auto released = Clock::now();
+  peer.release(0);
+  drain.join();
+  // Woken by the release, not by the 0.5 s poll.
+  EXPECT_LT(seconds_since(released), 0.25);
+  EXPECT_FALSE(result.cancelled);
+  EXPECT_EQ(result.executed_jobs, 0u);
+  EXPECT_EQ(result.cache_hits, 1u);
+  fs::remove_all(side_dir);
+  fs::remove_all(cache_dir);
+}
+
+TEST(Worker, WakeDrainOnCancel) {
+  const fs::path cache_dir = scratch_dir("wake_drain_cancel");
+  ScenarioSpec spec = one_cell_spec(cache_dir);
+  const ResultCache cache(cache_dir.string());
+  ClaimBoard peer = make_board(cache_dir, digest_of(spec, cache), 30.0);
+  ASSERT_EQ(peer.try_claim(0), ClaimBoard::Claim::kWon);
+
+  std::atomic<bool> cancel{false};
+  spec.cancel = &cancel;
+  std::atomic<bool> done{false};
+  ScenarioResult result;
+  std::thread drain([&] {
+    result = run_scenario(spec);
+    done.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  EXPECT_FALSE(done.load());
+
+  const auto cancelled = Clock::now();
+  cancel.store(true);
+  ClaimBoard::wake_waiters();
+  drain.join();
+  EXPECT_LT(seconds_since(cancelled), 0.25);
+  EXPECT_TRUE(result.cancelled);
+  EXPECT_EQ(result.executed_jobs, 0u);
+  EXPECT_TRUE(fs::exists(result.marker_path));
+  peer.release(0);
   fs::remove_all(cache_dir);
 }
 
