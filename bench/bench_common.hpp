@@ -61,9 +61,9 @@ using core::RunResult;
 
 /// Run every protocol at one config, replicated, on ONE flattened job
 /// queue (no per-protocol barrier — all protocols' replications
-/// interleave freely across the pool).  Results are identical to the
-/// old sequential run_replicated loop: job (protocol, rep) always runs
-/// seed `seed + rep`, and fold_runs is order-deterministic.
+/// interleave freely across the pool).  Results are identical to a
+/// sequential per-protocol loop of replications: job (protocol, rep)
+/// always runs seed `seed + rep`, and fold_runs is order-deterministic.
 inline std::vector<Replicated> all_protocols(const core::NetworkConfig& config,
                                              std::uint64_t seed, std::size_t reps,
                                              const RunOptions& options) {

@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
   core::RunOptions options;
   options.max_sim_s = args.fast ? 60.0 : 120.0;
 
-  // Three engine runs replace the per-variant run_replicated barriers:
+  // Three engine runs replace per-variant replication barriers:
   // the two endpoint protocols as single-point scenarios and the
   // deadline variant as a csi_gate_deadline_s sweep — the ROADMAP's
   // "protocol extensions as scenario axes" item (file-driven equivalent:

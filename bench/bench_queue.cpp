@@ -52,13 +52,11 @@
 #include <cstdio>
 #include <cstring>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "sim/event_queue.hpp"
 #include "sim/ladder_queue.hpp"
-#include "sim/pending_set.hpp"
 #include "util/config.hpp"
 #include "util/rng.hpp"
 
@@ -80,12 +78,14 @@ struct HoldResult {
   std::uint64_t pop_hash = 0;  // order-sensitive fold of popped times
 };
 
-/// Run the hold model on one implementation.  Identical inputs (seed,
-/// pending, ops) produce an identical logical op stream regardless of
-/// the implementation, so pop_hash is an equivalence oracle.
-HoldResult run_hold(sim::QueueKind kind, std::size_t pending, std::uint64_t ops,
-                    std::uint64_t seed) {
-  const std::unique_ptr<sim::PendingSet> queue = sim::make_pending_set(kind);
+/// Run the hold model on one implementation, held by value and called
+/// directly (as the Simulator holds its LadderQueue).  Identical inputs
+/// (seed, pending, ops) produce an identical logical op stream
+/// regardless of the implementation, so pop_hash is an equivalence
+/// oracle.
+template <class Queue>
+HoldResult run_hold(std::size_t pending, std::uint64_t ops, std::uint64_t seed) {
+  Queue queue;
 
   // Pre-generated delays: keeps RNG cost off the measured path (and
   // identical across implementations by construction).
@@ -106,24 +106,24 @@ HoldResult run_hold(sim::QueueKind kind, std::size_t pending, std::uint64_t ops,
   };
 
   for (std::size_t i = 0; i < pending; ++i) {
-    reservoir[i & (kReservoirSize - 1)] = queue->schedule(now + next_delay(), noop);
+    reservoir[i & (kReservoirSize - 1)] = queue.schedule(now + next_delay(), noop);
   }
 
   const auto step = [&](std::uint64_t op) {
-    sim::Fired fired = queue->pop();
+    sim::Fired fired = queue.pop();
     now = fired.time_s;
     std::uint64_t bits;
     std::memcpy(&bits, &fired.time_s, sizeof(bits));
     hash = (hash ^ bits) * 1099511628211ULL;  // FNV prime
-    reservoir[op & (kReservoirSize - 1)] = queue->schedule(now + next_delay(), noop);
+    reservoir[op & (kReservoirSize - 1)] = queue.schedule(now + next_delay(), noop);
     if ((op & 7) == 0) {
       // Cancel a random outstanding timer and replace it, like a MAC
       // backoff reschedule.  The reservoir index comes from the shared
       // RNG stream, so both implementations target the same logical
       // event; a miss (already fired) is part of the model.
       const std::size_t pick = static_cast<std::size_t>(rng.next()) & (kReservoirSize - 1);
-      if (queue->cancel(reservoir[pick])) {
-        reservoir[pick] = queue->schedule(now + next_delay(), noop);
+      if (queue.cancel(reservoir[pick])) {
+        reservoir[pick] = queue.schedule(now + next_delay(), noop);
       }
     }
   };
@@ -266,8 +266,8 @@ int main(int argc, char** argv) {
     std::uint64_t ladder_hash = 0;
     point.streams_match = true;
     for (int rep = 0; rep < reps; ++rep) {
-      const HoldResult heap = run_hold(sim::QueueKind::kHeap, pending, ops, seed);
-      const HoldResult ladder = run_hold(sim::QueueKind::kLadder, pending, ops, seed);
+      const HoldResult heap = run_hold<sim::EventQueue>(pending, ops, seed);
+      const HoldResult ladder = run_hold<sim::LadderQueue>(pending, ops, seed);
       point.heap_eps = std::max(point.heap_eps, heap.events_per_sec);
       point.ladder_eps = std::max(point.ladder_eps, ladder.events_per_sec);
       if (rep == 0) {

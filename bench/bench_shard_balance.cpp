@@ -1,13 +1,13 @@
-// bench_shard_balance — static residue slices vs dynamic work-stealing
-// claims on a deliberately skewed sweep, the acceptance harness for
-// `caem run --worker` (scenario/work_queue.hpp).
+// bench_shard_balance — dynamic work-stealing claims vs a static
+// residue-class partition on a deliberately skewed sweep, the
+// acceptance harness for `caem run --worker` (scenario/work_queue.hpp).
 //
 // Workload: the skewed_fast scenario shape — ONE heavy cell (140 nodes)
 // plus 36 near-equal light cells (20 nodes, traffic swept in lockstep),
 // costing roughly light_total ≈ 3 x heavy.  That is the worst case for
-// the legacy static `--shard=i/N` partition: the residue class that
-// draws the heavy cell also draws a quarter of the lights, so its owner
-// grinds on alone while the other shards idle.
+// a static partition by job index: the residue class that draws the
+// heavy cell also draws a quarter of the lights, so its owner grinds on
+// alone while the other workers idle.
 //
 // Measurement is COST-WEIGHTED SCHEDULE MAKESPAN, not wall clock: on a
 // small or timeshared host (CI runs this on one core) N concurrent
@@ -16,19 +16,20 @@
 //
 //   1. every cell is executed once, uncontended and single-threaded,
 //      recording its measured cost (and the reference artifacts);
-//   2. static makespan  = max over the 4 residue classes of the summed
-//      measured cost of the cells `--shard=i/4` would assign them
-//      (exact: the static partition is a pure function of job index);
-//   3. dynamic makespan = max over 4 REAL `--worker` drains (threads in
+//   2. static makespan  = max over the N residue classes (job index
+//      mod N) of their summed measured cost — the static baseline is
+//      this sum, computed, never run: a fixed partition is a pure
+//      function of job index, so its makespan needs no execution;
+//   3. dynamic makespan = max over N REAL `--worker` drains (threads in
 //      this process, racing the real claim protocol on a fresh shared
 //      cache) of the summed measured cost of the cells each one
 //      actually claimed and executed — read back from the worker
 //      telemetry markers.
 //
-// The exit code enforces the PR's acceptance bar: dynamic claiming must
-// improve the makespan by >= 1.5x, and the merge of the worker-drained
-// cache must render the summary byte-identically to the single-process
-// reference.
+// The exit code enforces the acceptance bar: dynamic claiming must
+// improve the makespan by >= 1.5x, and a cached fold of the
+// worker-drained cache must render the summary byte-identically to the
+// single-process reference without executing anything.
 //
 // Usage: bench_shard_balance [--fast] [key=value ...]
 //   workers=<n>   worker count (default 4; the static baseline uses it too)
@@ -157,8 +158,7 @@ int main(int argc, char** argv) {
   std::printf("reference pass: heavy %.0f ms, lights %.0f ms total (%.0f ms whole sweep)\n",
               cost_ms[0], total_ms - cost_ms[0], total_ms);
 
-  // -- 2. static makespan: exact cost of the legacy --shard=i/N
-  //       partition (job index residue classes) --
+  // -- 2. static makespan: the residue-class sum over measured costs --
   std::vector<double> static_class_ms(workers, 0.0);
   for (std::size_t i = 0; i < jobs; ++i) static_class_ms[i % workers] += cost_ms[i];
   const double static_makespan_ms =
@@ -212,11 +212,11 @@ int main(int argc, char** argv) {
       std::count_if(execution_count.begin(), execution_count.end(),
                     [](std::size_t n) { return n > 1; }));
 
-  // -- 4. merge the worker-drained cache; summary must render
-  //       byte-identically to the single-process reference --
+  // -- 4. fold the worker-drained cache (what `caem merge` does); the
+  //       summary must render byte-identically to the single-process
+  //       reference --
   scenario::ScenarioSpec merge_spec = base;
   merge_spec.cache_dir = scratch.string();
-  merge_spec.merge_shards = true;
   const scenario::ScenarioResult merged = scenario::run_scenario(merge_spec);
   const bool artifacts_identical = summary_csv(merged) == reference_csv;
   fs::remove_all(scratch);

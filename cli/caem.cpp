@@ -1,7 +1,7 @@
 // caem — unified scenario runner for the CAEM reproduction harness.
 //
 //   caem run <scenario.scn> [flags] [key=value ...]     run a sweep
-//   caem merge <scenario.scn> [flags] [key=value ...]   complete + fold a sharded sweep
+//   caem merge <scenario.scn> [flags] [key=value ...]   complete + fold a worker sweep
 //   caem expand <scenario.scn> [key=value ...]          print the grid, run nothing
 //   caem protocols                                      list the protocol registry
 //   caem serve serve.store_dir=<dir> [serve.* ...]      long-running sweep service
@@ -22,20 +22,13 @@
 //       claim unrefreshed this long is presumed crashed and stolen
 //   --progress[=secs]    (run/merge) periodic one-line drain report on
 //       stderr: cells done/total, hit/executed split, cells/s, ETA
-//   --shard=i/N          (run) legacy static worker: execute only the
-//       cache-miss cells whose job index ≡ i-1 (mod N), store them into
-//       the shared cache dir, publish a completion marker, render
-//       nothing (the merge step folds)
-//   --require-complete   (run) same as `caem merge`: census shard
-//       markers, re-run crashed shards' unfinished cells, fold from
-//       pure cache hits
 //
 // Overrides use the scenario-file namespace (scenario.*, sweep.*,
 // output.*, or any NetworkConfig key).  Unknown keys are fatal: a typo
 // must never silently run the wrong experiment.  Every process of a
-// sharded launch (and the merge) must receive the SAME overrides —
+// distributed launch (and the merge) must receive the SAME overrides —
 // config-affecting overrides change the sweep digest, and mismatched
-// shards would simply work on different sweeps.
+// workers would simply work on different sweeps.
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -113,9 +106,9 @@ class InterruptWaker {
 int usage(std::ostream& out, int exit_code) {
   out << "usage:\n"
          "  caem run <scenario.scn> [flags] [key=value ...]  run the sweep\n"
-         "  caem merge <scenario.scn> [flags] [key=value ...]\n"
-         "                      complete a sharded sweep: census shard markers, re-run\n"
-         "                      crashed shards' unfinished cells, fold from pure cache hits\n"
+         "  caem merge <scenario.scn> --cache-dir=<dir> [flags] [key=value ...]\n"
+         "                      complete a worker sweep: run any cell the cache still\n"
+         "                      misses, fold from the cache, print the worker census\n"
          "  caem expand <scenario.scn> [key=value ...]       show grid points without running\n"
          "  caem protocols      list registered protocols (scenario.protocols accepts any\n"
          "                      name or alias shown there)\n"
@@ -149,11 +142,6 @@ int usage(std::ostream& out, int exit_code) {
          "  --progress[=secs]   run/merge: one-line progress report to stderr every\n"
          "                      <secs> (default 5) while draining: cells done/total,\n"
          "                      hit/executed split, cells/s, ETA\n"
-         "  --shard=i/N         run only: legacy static worker i of N; executes its\n"
-         "                      index-stride slice of the misses, publishes\n"
-         "                      <cache>/sweeps/<digest>/shard_i_of_N.done,\n"
-         "                      defers folding/artifacts to `caem merge`\n"
-         "  --require-complete  run only: equivalent to `caem merge`\n"
          "\n"
          "overrides share the scenario-file namespace, e.g.\n"
          "  caem run examples/scenarios/fig10_lifetime_vs_load.scn scenario.reps=4 \\\n"
@@ -163,7 +151,7 @@ int usage(std::ostream& out, int exit_code) {
          "a distributed launch runs the same scenario + overrides on every worker, e.g.\n"
          "  for i in 1 2 3; do caem run sweep.scn --worker --cache-dir=cache & done\n"
          "  wait; caem merge sweep.scn --cache-dir=cache\n"
-         "(scripts/shard_sweep.sh wraps exactly this; --static falls back to --shard=i/N)\n";
+         "(scripts/shard_sweep.sh wraps exactly this)\n";
   return exit_code;
 }
 
@@ -183,8 +171,6 @@ caem::scenario::ScenarioSpec load_spec(const std::vector<std::string>& tokens,
 struct CliArgs {
   std::string cache_dir;
   bool no_cache = false;
-  std::string shard;  ///< raw --shard=i/N value ("" = unsharded)
-  bool require_complete = false;
   bool worker = false;
   double lease_s = -1.0;     ///< < 0 = flag absent (spec default applies)
   double progress_s = 0.0;   ///< 0 = off; --progress without a value = 5 s
@@ -213,13 +199,6 @@ CliArgs parse_cli(int argc, char** argv, int first) {
       args.cache_dir = argv[++i];
     } else if (token.rfind("--cache-dir=", 0) == 0) {
       args.cache_dir = token.substr(12);
-    } else if (token == "--shard") {
-      if (i + 1 >= argc) throw std::invalid_argument("--shard needs an i/N argument");
-      args.shard = argv[++i];
-    } else if (token.rfind("--shard=", 0) == 0) {
-      args.shard = token.substr(8);
-    } else if (token == "--require-complete") {
-      args.require_complete = true;
     } else if (token == "--worker") {
       args.worker = true;
     } else if (token == "--lease") {
@@ -244,27 +223,14 @@ void print_banner(const caem::scenario::ScenarioSpec& spec, std::ostream& out) {
   out << "scenario: " << spec.name << "\n"
       << "grid: " << caem::scenario::grid_size(spec.axes) << " point(s) x "
       << spec.protocols.size() << " protocol(s) x " << spec.replications
-      << " rep(s) = " << spec.total_jobs() << " job(s)"
-      << (spec.flatten ? " on one flattened queue" : " with per-point barriers") << "\n";
-  // Resolve the effective queue kind through config_at so base_overrides
-  // (e.g. a `sim.queue_kind=heap` CLI override) are reflected.
-  out << "kernel: " << spec.config_at(caem::scenario::expand_grid(spec.axes).front()).sim_queue_kind
-      << " event queue (digest-neutral)\n";
+      << " rep(s) = " << spec.total_jobs() << " job(s) on one queue\n";
   if (!spec.cache_dir.empty()) {
     out << "cache: " << spec.cache_dir << (spec.use_cache ? "" : " (disabled by --no-cache)")
         << "\n";
   }
-  if (spec.shard_count >= 1) {
-    out << "shard: " << spec.shard_index << "/" << spec.shard_count << " (job indices "
-        << (spec.shard_index - 1) << ", " << (spec.shard_index - 1 + spec.shard_count)
-        << ", ... of the flattened queue)\n";
-  }
   if (spec.worker_mode) {
     out << "worker: dynamic claiming, lease " << caem::util::format_fixed(spec.lease_s, 0)
         << " s (cells drain longest-expected-first; exits when the sweep is fully cached)\n";
-  }
-  if (spec.merge_shards) {
-    out << "merge: completing the sweep from shard markers + cache\n";
   }
 }
 
@@ -273,38 +239,20 @@ int run_command(int argc, char** argv, bool merge) {
   caem::scenario::ScenarioSpec spec = load_spec(cli.overrides, argv[2]);
   if (!cli.cache_dir.empty()) spec.cache_dir = cli.cache_dir;
   if (cli.no_cache) spec.use_cache = false;
-  if (merge && (!cli.shard.empty() || cli.require_complete || cli.worker)) {
-    throw std::invalid_argument(
-        "'caem merge' already completes the sweep; --shard/--worker/--require-complete do not "
-        "apply");
+  if (merge && cli.worker) {
+    throw std::invalid_argument("'caem merge' folds the sweep; --worker does not apply");
   }
-  if (!cli.shard.empty() && cli.require_complete) {
+  if (merge && (spec.cache_dir.empty() || !spec.use_cache)) {
     throw std::invalid_argument(
-        "--shard and --require-complete are mutually exclusive (a shard runs one slice; "
-        "--require-complete merges the whole sweep)");
-  }
-  if (cli.worker && !cli.shard.empty()) {
-    throw std::invalid_argument(
-        "--worker and --shard are mutually exclusive (a worker drains the one shared queue; "
-        "a shard a static residue slice)");
-  }
-  if (cli.worker && cli.require_complete) {
-    throw std::invalid_argument(
-        "--worker and --require-complete are mutually exclusive (run `caem merge` once every "
-        "worker has exited)");
+        "'caem merge' folds a sweep from its shared cache: pass --cache-dir (and drop "
+        "--no-cache)");
   }
   if (cli.lease_s >= 0.0 && !cli.worker) {
     throw std::invalid_argument("--lease only applies to `caem run --worker`");
   }
-  if (!cli.shard.empty()) {
-    const caem::scenario::ShardRef ref = caem::scenario::parse_shard(cli.shard);
-    spec.shard_index = ref.index;
-    spec.shard_count = ref.count;
-  }
   spec.worker_mode = cli.worker;
   if (cli.lease_s > 0.0) spec.lease_s = cli.lease_s;
   spec.progress_s = cli.progress_s;
-  if (merge || cli.require_complete) spec.merge_shards = true;
   std::optional<InterruptWaker> waker;
   if (spec.worker_mode) {
     // A worker killed mid-drain used to leave its current claim behind
@@ -339,42 +287,22 @@ int run_command(int argc, char** argv, bool merge) {
               << result.executed_jobs << " executed job(s)\n";
     return 0;
   }
-  if (result.shard_count >= 1) {
-    // Partial run: the fold and the artifacts belong to the merge step.
-    std::cout << "shard " << result.shard_index << "/" << result.shard_count << ": "
-              << result.shard_jobs << " job(s) claimed, " << result.cache_hits
-              << " already cached, " << result.executed_jobs << " executed\n"
-              << "marker: " << result.marker_path << "\n"
-              << "artifacts deferred: fold with `caem merge " << argv[2]
-              << " --cache-dir=" << spec.cache_dir << "` once all shards are done\n";
-    std::cout << "wall clock: " << caem::util::format_fixed(result.wall_s, 2) << " s for "
-              << result.executed_jobs << " executed job(s)\n";
-    return 0;
-  }
-  if (result.merged) {
-    if (result.shards_expected == 0) {
-      std::cout << "merge: no shard markers for this sweep; completing from the cache alone\n";
-    } else {
-      std::cout << "merge: " << result.shards_done << "/" << result.shards_expected
-                << " shard marker(s) present";
-      if (!result.shards_missing.empty()) {
-        std::cout << "; missing:";
-        for (const std::size_t id : result.shards_missing) std::cout << " " << id;
-        std::cout << " (claimed " << result.executed_jobs << " unfinished cell(s))";
-      }
-      std::cout << "\n";
+  if (merge) {
+    // Straggler telemetry: who drained what, and how long the slowest
+    // worker — the sweep's critical path — actually took.
+    const std::vector<caem::scenario::WorkerMarker> workers =
+        caem::scenario::ShardManifest(spec.cache_dir, result.sweep_digest).collect_workers();
+    const caem::scenario::WorkerMarker* straggler = nullptr;
+    for (const caem::scenario::WorkerMarker& w : workers) {
+      std::cout << "  worker " << w.token << ": " << w.stored.size() << " executed, "
+                << w.cache_hits << " hits, " << w.stolen << " stolen, "
+                << caem::util::format_fixed(w.wall_ms / 1000.0, 2) << " s\n";
+      if (straggler == nullptr || w.wall_ms > straggler->wall_ms) straggler = &w;
     }
-    if (!result.workers.empty()) {
-      // Straggler telemetry: who drained what, and how long the
-      // slowest worker — the sweep's critical path — actually took.
-      const caem::scenario::WorkerMarker* straggler = nullptr;
-      for (const caem::scenario::WorkerMarker& w : result.workers) {
-        std::cout << "  worker " << w.token << ": " << w.stored.size() << " executed, "
-                  << w.cache_hits << " hits, " << w.stolen << " stolen, "
-                  << caem::util::format_fixed(w.wall_ms / 1000.0, 2) << " s\n";
-        if (straggler == nullptr || w.wall_ms > straggler->wall_ms) straggler = &w;
-      }
-      std::cout << "merge: " << result.workers.size() << " worker report(s); straggler "
+    if (straggler == nullptr) {
+      std::cout << "merge: no worker reports for this sweep\n";
+    } else {
+      std::cout << "merge: " << workers.size() << " worker report(s); straggler "
                 << straggler->token << " at "
                 << caem::util::format_fixed(straggler->wall_ms / 1000.0, 2) << " s\n";
     }
@@ -428,8 +356,6 @@ int expand_command(int argc, char** argv) {
   const char* offending = nullptr;
   if (!cli.cache_dir.empty()) offending = "--cache-dir";
   else if (cli.no_cache) offending = "--no-cache";
-  else if (!cli.shard.empty()) offending = "--shard";
-  else if (cli.require_complete) offending = "--require-complete";
   else if (cli.worker) offending = "--worker";
   else if (cli.lease_s >= 0.0) offending = "--lease";
   else if (cli.progress_s > 0.0) offending = "--progress";

@@ -4,28 +4,26 @@
 # artifacts.
 #
 #   scripts/shard_sweep.sh <caem-binary> <scenario.scn> <N> <cache-dir> \
-#       [--static] [--lease=<secs>] [key=value ...]
+#       [--lease=<secs>] [key=value ...]
 #
-# By default the N processes are DYNAMIC workers (`caem run --worker`):
-# they drain the sweep's one shared queue by claiming cells in the cache
-# dir, longest-expected-first, so no worker can be stuck with an unlucky
-# static slice and a crashed worker's cells are stolen after its claim
-# lease expires.  --static falls back to the legacy `--shard=i/N`
-# residue partition (kept for A/B comparison; bench_shard_balance
-# measures the difference).
+# The N processes are dynamic workers (`caem run --worker`): they drain
+# the sweep's one shared queue by claiming cells in the cache dir,
+# longest-expected-first, so no worker is stuck with an unlucky share
+# and a crashed worker's cells are stolen after its claim lease
+# expires.
 #
 # Every worker (and the merge) receives the same scenario file and the
 # same overrides — config-affecting overrides change the sweep digest,
 # and mismatched workers would simply work on different sweeps.  A
-# worker that crashes is harmless either way: surviving dynamic workers
-# steal its cells, and the merge re-runs anything still missing before
-# folding the full sweep from pure cache hits.  For multi-host launches
-# run the same `caem run --worker --cache-dir=<shared dir>` command per
-# host against a shared filesystem and `caem merge` from any of them.
+# worker that crashes is harmless: surviving workers steal its cells,
+# and the merge runs anything still missing before folding the full
+# sweep from the cache.  For multi-host launches run the same
+# `caem run --worker --cache-dir=<shared dir>` command per host against
+# a shared filesystem and `caem merge` from any of them.
 set -eu
 
 if [ "$#" -lt 4 ]; then
-  echo "usage: $0 <caem-binary> <scenario.scn> <N> <cache-dir> [--static] [--lease=<secs>] [key=value ...]" >&2
+  echo "usage: $0 <caem-binary> <scenario.scn> <N> <cache-dir> [--lease=<secs>] [key=value ...]" >&2
   exit 2
 fi
 
@@ -39,30 +37,16 @@ case "$N" in
   ''|*[!0-9]*|0) echo "$0: N must be a positive integer, got '$N'" >&2; exit 2 ;;
 esac
 
-MODE=worker
 LEASE=""
-while [ "$#" -gt 0 ]; do
-  case "$1" in
-    --static) MODE=static; shift ;;
-    --lease=*) LEASE=$1; shift ;;
-    *) break ;;
-  esac
-done
-
-if [ "$MODE" = "static" ] && [ -n "$LEASE" ]; then
-  echo "$0: --lease only applies to dynamic (non --static) launches" >&2
-  exit 2
-fi
+case "${1-}" in
+  --lease=*) LEASE=$1; shift ;;
+esac
 
 pids=""
 i=1
 while [ "$i" -le "$N" ]; do
-  if [ "$MODE" = "worker" ]; then
-    # shellcheck disable=SC2086 — $LEASE is empty or one --lease=<secs> token
-    "$CAEM" run "$SCN" --worker $LEASE --cache-dir="$CACHE" "$@" &
-  else
-    "$CAEM" run "$SCN" --shard="$i/$N" --cache-dir="$CACHE" "$@" &
-  fi
+  # shellcheck disable=SC2086 — $LEASE is empty or one --lease=<secs> token
+  "$CAEM" run "$SCN" --worker $LEASE --cache-dir="$CACHE" "$@" &
   pids="$pids $!"
   i=$((i + 1))
 done
@@ -72,7 +56,7 @@ for pid in $pids; do
   wait "$pid" || failed=1
 done
 if [ "$failed" -ne 0 ]; then
-  echo "$0: one or more workers failed; merge will re-run their unfinished cells" >&2
+  echo "$0: one or more workers failed; merge will run their unfinished cells" >&2
 fi
 
 exec "$CAEM" merge "$SCN" --cache-dir="$CACHE" "$@"

@@ -54,9 +54,6 @@ void NetworkConfig::validate() const {
   if (dead_fraction <= 0.0 || dead_fraction > 1.0) {
     throw std::invalid_argument("config: dead_fraction must be in (0,1]");
   }
-  if (sim_queue_kind != "ladder" && sim_queue_kind != "heap") {
-    throw std::invalid_argument("config: sim.queue_kind must be 'ladder' or 'heap'");
-  }
   if (tone_monitor_duty <= 0.0 || tone_monitor_duty > 1.0) {
     throw std::invalid_argument("config: tone_monitor_duty must be in (0,1]");
   }
@@ -172,7 +169,6 @@ void NetworkConfig::apply_overrides(const util::Config& overrides) {
       overrides.get_double("energy_snapshot_interval_s", energy_snapshot_interval_s);
   queue_snapshot_interval_s =
       overrides.get_double("queue_snapshot_interval_s", queue_snapshot_interval_s);
-  sim_queue_kind = overrides.get_string("sim.queue_kind", sim_queue_kind);
   mobility_kind = overrides.get_string("mobility_kind", mobility_kind);
   mobility_max_speed_mps = overrides.get_double("mobility_max_speed_mps", mobility_max_speed_mps);
   mobility_pause_s = overrides.get_double("mobility_pause_s", mobility_pause_s);
@@ -284,10 +280,6 @@ std::string NetworkConfig::canonical_text() const {
   put_d("dead_fraction", dead_fraction);
   put_d("energy_snapshot_interval_s", energy_snapshot_interval_s);
   put_d("queue_snapshot_interval_s", queue_snapshot_interval_s);
-  // sim_queue_kind is deliberately NOT rendered: both pending-set
-  // implementations drain in identical order, so the knob cannot change
-  // a result and must not change a cache key (heap and ladder runs of
-  // the same config share one cache entry).
   if (!routing.is_default()) {
     put("routing.kind", routing.kind);
     put_u("routing.max_hops", routing.max_hops);

@@ -131,14 +131,6 @@ struct NetworkConfig {
   double energy_snapshot_interval_s = 5.0;
   double queue_snapshot_interval_s = 1.0;
 
-  // ---- kernel execution (digest-neutral) ----
-  /// Pending-event-set implementation: "ladder" (bucketed, amortized
-  /// O(1)) or "heap" (binary heap, the A/B baseline).  Both drain in
-  /// identical (time, sequence) order — see sim/pending_set.hpp — so
-  /// this knob can never change a result and is deliberately EXCLUDED
-  /// from canonical_text()/digest(): the same cache entry serves both.
-  std::string sim_queue_kind = "ladder";
-
   /// Power profile of the data radio (startup drawn at tx level).
   [[nodiscard]] energy::RadioPowerProfile data_radio_profile() const noexcept;
 

@@ -1,5 +1,6 @@
 #include "core/experiment.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <exception>
 #include <mutex>
@@ -7,47 +8,11 @@
 
 namespace caem::core {
 
-std::vector<RunResult> parallel_runs(std::size_t count,
-                                     const std::function<RunResult(std::size_t)>& job,
-                                     std::size_t threads) {
-  if (!job) throw std::invalid_argument("parallel_runs: null job");
-  std::vector<RunResult> results(count);
-  if (count == 0) return results;
-  if (threads == 0) {
-    threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
-  threads = std::min(threads, count);
-
-  std::atomic<std::size_t> next{0};
-  std::exception_ptr first_error;
-  std::mutex error_mutex;
-
-  const auto worker = [&]() {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1);
-      if (i >= count) return;
-      try {
-        results[i] = job(i);
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(error_mutex);
-        if (!first_error) first_error = std::current_exception();
-        return;
-      }
-    }
-  };
-
-  std::vector<std::thread> pool;
-  pool.reserve(threads);
-  for (std::size_t t = 0; t < threads; ++t) pool.emplace_back(worker);
-  for (auto& thread : pool) thread.join();
-  if (first_error) std::rethrow_exception(first_error);
-  return results;
-}
-
 std::vector<RunResult> parallel_runs_ordered(std::size_t result_size,
                                              const std::vector<std::size_t>& order,
                                              const std::function<RunResult(std::size_t)>& job,
                                              std::size_t threads) {
+  if (!job) throw std::invalid_argument("parallel_runs_ordered: null job");
   std::vector<char> seen(result_size, 0);
   for (const std::size_t id : order) {
     if (id >= result_size) {
@@ -62,13 +27,38 @@ std::vector<RunResult> parallel_runs_ordered(std::size_t result_size,
     seen[id] = 1;
   }
   std::vector<RunResult> results(result_size);
-  if (order.empty()) return results;
-  // parallel_runs' atomic ticket counter hands out k in submission
-  // order, so job order[k] starts no later than order[k+1] — exactly
-  // the drain-order contract.  Scatter back by original id.
-  std::vector<RunResult> drained =
-      parallel_runs(order.size(), [&](std::size_t k) { return job(order[k]); }, threads);
-  for (std::size_t k = 0; k < order.size(); ++k) results[order[k]] = std::move(drained[k]);
+  const std::size_t count = order.size();
+  if (count == 0) return results;
+  if (threads == 0) {
+    threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  }
+  threads = std::min(threads, count);
+
+  // The atomic ticket counter hands out k in submission order, so job
+  // order[k] starts no later than order[k+1] — exactly the drain-order
+  // contract.  Each job writes only its own slot.
+  std::atomic<std::size_t> next{0};
+  std::exception_ptr first_error;
+  std::mutex error_mutex;
+  const auto worker = [&]() {
+    for (;;) {
+      const std::size_t k = next.fetch_add(1);
+      if (k >= count) return;
+      try {
+        results[order[k]] = job(order[k]);
+      } catch (...) {
+        const std::lock_guard<std::mutex> lock(error_mutex);
+        if (!first_error) first_error = std::current_exception();
+        return;
+      }
+    }
+  };
+
+  std::vector<std::thread> pool;
+  pool.reserve(threads);
+  for (std::size_t t = 0; t < threads; ++t) pool.emplace_back(worker);
+  for (auto& thread : pool) thread.join();
+  if (first_error) std::rethrow_exception(first_error);
   return results;
 }
 
@@ -99,17 +89,6 @@ Replicated fold_runs(std::vector<RunResult> runs) {
     summary.total_consumed_j.add(run.total_consumed_j);
   }
   return summary;
-}
-
-Replicated run_replicated(const NetworkConfig& config, Protocol protocol,
-                          std::uint64_t base_seed, std::size_t replications,
-                          const RunOptions& options, std::size_t threads) {
-  return fold_runs(parallel_runs(
-      replications,
-      [&](std::size_t i) {
-        return SimulationRunner::run(config, protocol, base_seed + i, options);
-      },
-      threads));
 }
 
 }  // namespace caem::core

@@ -6,7 +6,6 @@
 // the HPC-guide idiom).  Replication averaging helpers live here too.
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <thread>
 #include <vector>
@@ -15,13 +14,6 @@
 #include "util/stats.hpp"
 
 namespace caem::core {
-
-/// Run `job(i)` for i in [0, count) on up to `threads` workers and return
-/// the results in index order.  Exceptions in jobs propagate to the
-/// caller (first one wins).
-std::vector<RunResult> parallel_runs(std::size_t count,
-                                     const std::function<RunResult(std::size_t)>& job,
-                                     std::size_t threads = 0);
 
 /// Run `job(order[k])` for every k on up to `threads` workers, DRAINING
 /// the queue in the order given, and return results indexed by original
@@ -32,7 +24,9 @@ std::vector<RunResult> parallel_runs(std::size_t count,
 /// longest-expected-first order so the final worker is never stuck
 /// behind a long-running job queued last) without touching results.
 /// `order` entries must be unique and < result_size; throws
-/// std::invalid_argument otherwise.
+/// std::invalid_argument otherwise (or for a null job).  threads = 0
+/// means hardware concurrency.  Exceptions in jobs propagate to the
+/// caller (first one wins) after every worker has joined.
 std::vector<RunResult> parallel_runs_ordered(std::size_t result_size,
                                              const std::vector<std::size_t>& order,
                                              const std::function<RunResult(std::size_t)>& job,
@@ -61,12 +55,5 @@ struct Replicated {
 /// how many contributed).  Lifetimes of -1 (never crossed inside the
 /// horizon) fold as the horizon, a conservative lower bound.
 Replicated fold_runs(std::vector<RunResult> runs);
-
-/// Run `replications` seeds of one (config, protocol) point in parallel
-/// and fold the headline scalars via `fold_runs`.  Seeds are base_seed,
-/// base_seed+1, ...
-Replicated run_replicated(const NetworkConfig& config, Protocol protocol,
-                          std::uint64_t base_seed, std::size_t replications,
-                          const RunOptions& options, std::size_t threads = 0);
 
 }  // namespace caem::core

@@ -8,7 +8,6 @@ namespace caem::core {
 Network::Network(NetworkConfig config, Protocol protocol, std::uint64_t seed)
     : config_(std::move(config)),
       protocol_(protocol),
-      sim_(sim::queue_kind_from_string(config_.sim_queue_kind)),
       rng_(seed),
       links_(config_.channel, &rng_),
       table_(),

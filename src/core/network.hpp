@@ -4,7 +4,7 @@
 // nodes, and the per-round cluster MAC objects, and wires every callback
 // (traffic arrivals, deliveries, drops, deaths, snapshots) into the
 // MetricsCollector.  One Network == one independent, reproducible run;
-// parallelism happens across Network instances (ExperimentRunner).
+// parallelism happens across Network instances (the scenario engine).
 #pragma once
 
 #include <cstdint>

@@ -4,7 +4,7 @@
 // run-to-extinction 10k-node cell last and the final worker grinds it
 // alone while every other worker idles.  Draining cells in descending
 // expected cost (LPT scheduling) bounds that tail both for the
-// in-process `core::parallel_runs` queue and for the cross-process
+// in-process `core::parallel_runs_ordered` queue and for the cross-process
 // dynamic claim queue (scenario/work_queue.hpp).
 //
 // The expectation has two tiers, UtilCache's cost-accounting idea

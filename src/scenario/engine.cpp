@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -17,9 +18,9 @@
 
 #include "scenario/cost_model.hpp"
 #include "scenario/result_cache.hpp"
-#include "sim/kernel_stats.hpp"
 #include "scenario/shard_manifest.hpp"
 #include "scenario/work_queue.hpp"
+#include "sim/kernel_stats.hpp"
 #include "util/table_writer.hpp"
 #include "util/time_series.hpp"
 
@@ -178,42 +179,14 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
 
   result.total_jobs = grid.size() * protocol_count * reps;
   result.cache_enabled = !spec.cache_dir.empty() && spec.use_cache;
-  result.shard_index = spec.shard_index;
-  result.shard_count = spec.shard_count;
-  result.merged = spec.merge_shards;
-  if (result.cache_enabled && !spec.flatten) {
-    throw std::invalid_argument(
-        "scenario.flatten=0 is incompatible with the result cache (cache lookups partition the "
-        "flattened queue; drop scenario.cache_dir or re-enable flattening)");
-  }
-  const bool sharded = spec.shard_count >= 1;
   result.worker_mode = spec.worker_mode;
-  if (sharded || spec.merge_shards || spec.worker_mode) {
-    if (sharded && spec.merge_shards) {
-      throw std::invalid_argument(
-          "a shard run cannot also merge: --shard and merge/--require-complete are mutually "
-          "exclusive");
-    }
-    if (spec.worker_mode && sharded) {
-      throw std::invalid_argument(
-          "--worker and --shard are mutually exclusive: a worker drains the one shared queue, "
-          "a shard a static residue slice");
-    }
-    if (spec.worker_mode && spec.merge_shards) {
-      throw std::invalid_argument(
-          "a worker cannot also merge: run `caem merge` once every worker has exited");
-    }
-    if (!result.cache_enabled) {
-      throw std::invalid_argument(
-          "distributed execution requires the result cache — the shared cache directory is the "
-          "coordination substrate workers and shards merge through (set "
-          "--cache-dir/scenario.cache_dir and drop --no-cache)");
-    }
+  if (spec.worker_mode && !result.cache_enabled) {
+    throw std::invalid_argument(
+        "--worker requires the result cache — the shared cache directory is the coordination "
+        "substrate workers drain through (set --cache-dir/scenario.cache_dir and drop "
+        "--no-cache)");
   }
-  if (sharded && (spec.shard_index < 1 || spec.shard_index > spec.shard_count)) {
-    throw std::invalid_argument("shard index out of range: --shard=i/N needs 1 <= i <= N");
-  }
-  if (spec.worker_mode && !(spec.lease_s > 0.0)) {
+  if (result.cache_enabled && !(spec.lease_s > 0.0)) {
     throw std::invalid_argument("--lease must be a positive number of seconds");
   }
 
@@ -257,9 +230,35 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
   };
 
   std::vector<core::RunResult> runs;
-  if (result.cache_enabled) {
-    // Cache-partitioned flattened queue: hits fill their slot without
-    // ever being enqueued; only the misses run, then get stored.
+  if (!result.cache_enabled) {
+    // -- the uncached drain: one in-memory queue over the whole cross
+    //    product (a-priori costs only: with no cache there is nothing
+    //    measured to refine them with) --
+    std::vector<std::size_t> all(result.total_jobs);
+    std::iota(all.begin(), all.end(), std::size_t{0});
+    ProgressReporter reporter(spec.progress_s, progress_out, result.total_jobs, hit_count,
+                              executed_count);
+    runs = core::parallel_runs_ordered(
+        result.total_jobs, cost_order(all, job_cost),
+        [&](std::size_t i) {
+          if (cancel_requested()) throw SweepCancelled();
+          core::RunResult run = run_job(i);
+          executed_count.fetch_add(1);
+          return run;
+        },
+        spec.threads);
+    reporter.stop();
+    result.executed_jobs = result.total_jobs;
+  } else {
+    // -- the claim drain --
+    //
+    // One shared queue, any number of processes: each cell is won by
+    // whichever lane claims it first (work_queue.hpp), so a fast
+    // process simply claims more cells, and each cell is stored the
+    // moment it finishes.  Every lane repeats passes over its
+    // unresolved cells until the CACHE holds them — claims gate
+    // execution, never completion — so the drain also outlives a peer's
+    // crash: its stale claims expire and are stolen here.
     const ResultCache cache(spec.cache_dir);
     std::vector<std::string> keys(result.total_jobs);
     std::vector<std::string> paths(result.total_jobs);
@@ -270,8 +269,6 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
       paths[i] = (std::filesystem::path(spec.cache_dir) / keys[i]).string();
     }
     result.sweep_digest = sweep_digest(keys);
-    const ShardManifest manifest(spec.cache_dir, result.sweep_digest);
-    std::vector<std::size_t> pending;
 
     // Execution provenance is stamped here — by the engine, only on
     // runs headed for the cache — so the simulator itself stays a pure
@@ -295,300 +292,190 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
       if (spec.record_touches) cache.touch(path);
     };
 
-    // Shared by the shard and unsharded/merge paths so store/retry
-    // semantics can never diverge between them; `fold_into` is null on
-    // a shard run, which stores cells but never folds them.  `pending`
-    // stays in ascending scan order (markers record it); only the
-    // DRAIN is cost-ordered.  Cancellation throws from the queue:
-    // parallel_runs joins every thread, propagates the first exception,
-    // and nothing partial is ever stored or folded.
-    const auto execute_and_store = [&](std::vector<core::RunResult>* fold_into) {
-      const std::vector<std::size_t> order = cost_order(pending, job_cost);
-      std::vector<core::RunResult> executed = core::parallel_runs(
-          order.size(),
-          [&](std::size_t k) {
-            if (cancel_requested()) throw SweepCancelled();
-            return timed_run(order[k]);
-          },
-          spec.threads);
-      for (std::size_t k = 0; k < order.size(); ++k) {
-        cache.store(paths[order[k]], executed[k]);
-        if (fold_into != nullptr) (*fold_into)[order[k]] = std::move(executed[k]);
-      }
-    };
-
-    if (spec.worker_mode) {
-      // -- the dynamic work-stealing drain (tentpole path) --
-      //
-      // One shared queue, any number of workers: each cell is won by
-      // whichever worker claims it first (work_queue.hpp), so a fast
-      // worker simply claims more cells and the sweep's makespan stops
-      // being hostage to the unluckiest static slice.  The loop below
-      // repeats passes over the not-yet-cached cells until the CACHE
-      // says the sweep is complete — claims gate execution, never
-      // completion — so this worker also outlives its peers' crashes:
-      // their stale claims expire and are stolen here.
-      ClaimBoard board(spec.cache_dir, result.sweep_digest, spec.lease_s);
-      {
-        std::error_code error;
-        std::filesystem::create_directories(board.dir(), error);
-        if (error) {
-          throw std::runtime_error("cannot create claim dir '" + board.dir() +
-                                   "': " + error.message());
-        }
-      }
-      result.worker_token = board.token();
-
-      std::vector<std::size_t> todo;
-      for (std::size_t i = 0; i < result.total_jobs; ++i) {
-        if (std::optional<core::RunResult> hit = cache.load(paths[i])) {
-          observe_entry(i, *hit);
-          note_hit(paths[i]);
-          ++result.cache_hits;
-        } else {
-          todo.push_back(i);
-        }
-      }
-      hit_count.store(result.cache_hits);
-      ProgressReporter reporter(spec.progress_s, progress_out, result.total_jobs, hit_count,
-                                executed_count);
-
-      std::vector<std::size_t> stored;
-      std::vector<std::size_t> queue = cost_order(todo, job_cost);
-      // While every remaining cell is held by a healthy peer, block on
-      // the sweep's release epoch (work_queue.hpp, WAIT): a peer in
-      // this process wakes us the moment it stores and releases a cell,
-      // and a cancel wakes us too.  The timeout is the filesystem poll
-      // for peers in OTHER processes — their releases are invisible to
-      // the epoch — kept well under the lease so a stale claim is
-      // stolen soon after expiry.
-      const auto poll = std::chrono::duration<double>(std::min(0.5, spec.lease_s / 4.0));
-      bool stopped = false;
-      while (!queue.empty() && !stopped) {
-        // Snapshot before the pass: a release after it ends the wait
-        // below; one before it stored its cell, which this pass sees.
-        const std::uint64_t epoch = board.release_epoch();
-        bool progressed = false;
-        std::vector<std::size_t> blocked;
-        for (const std::size_t job : queue) {
-          // Cooperative stop between cells (never mid-cell: a started
-          // cell completes and stores — cancellation never wastes work
-          // already done, and a held claim is released below).
-          if (cancel_requested()) {
-            stopped = true;
-            break;
-          }
-          if (cache.load(paths[job]).has_value()) {
-            // A peer finished it since our last look: a hit, not ours.
-            note_hit(paths[job]);
-            ++result.cache_hits;
-            hit_count.fetch_add(1);
-            progressed = true;
-            continue;
-          }
-          if (board.try_claim(job) == ClaimBoard::Claim::kBusy) {
-            blocked.push_back(job);
-            continue;
-          }
-          // Won.  Re-check under the claim: the previous holder may
-          // have stored and released between our load and our acquire.
-          if (cache.load(paths[job]).has_value()) {
-            board.release(job);
-            note_hit(paths[job]);
-            ++result.cache_hits;
-            hit_count.fetch_add(1);
-            progressed = true;
-            continue;
-          }
-          try {
-            // Heartbeat while computing; joined before the release so a
-            // late refresh can never resurrect a released claim.
-            const LeaseRefresher heartbeat(board, job, spec.lease_s);
-            cache.store(paths[job], timed_run(job));
-          } catch (...) {
-            // Never exit holding a claim: peers would wait a full lease
-            // to steal a cell this worker isn't computing.
-            board.release(job);
-            throw;
-          }
-          board.release(job);
-          stored.push_back(job);
-          progressed = true;
-        }
-        queue = std::move(blocked);
-        sink.stolen.store(board.stolen());
-        if (!queue.empty() && !stopped && !progressed) {
-          (void)board.wait_release(epoch, poll, spec.cancel);
-        }
-      }
-      reporter.stop();
-      result.cancelled = stopped;
-
-      result.executed_jobs = stored.size();
-      result.cache_misses = stored.size();
-      result.claims_stolen = board.stolen();
-      result.wall_s =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - started).count();
-
-      WorkerMarker report;
-      report.token = board.token();
-      report.host = board.host();
-      report.pid = static_cast<std::uint64_t>(::getpid());
-      report.total_jobs = result.total_jobs;
-      report.cache_hits = result.cache_hits;
-      report.stolen = board.stolen();
-      report.wall_ms = result.wall_s * 1000.0;
-      std::sort(stored.begin(), stored.end());
-      report.stored = std::move(stored);
-      manifest.write_worker_done(report);
-      result.marker_path = manifest.worker_marker_path(board.token());
-      // No fold: `caem merge` folds the full sweep from pure cache hits
-      // once the last worker exits.
-      return result;
-    }
-
-    if (sharded) {
-      // One worker of a distributed launch.  Scan only this shard's
-      // slice: claims are keyed by job-index residue (i ≡ shard-1 mod
-      // N), so the partition is identical however the N processes
-      // interleave — another shard's stores land in other residue
-      // classes and can never shift this slice (shard_manifest.hpp).
-      for (std::size_t i = spec.shard_index - 1; i < result.total_jobs;
-           i += spec.shard_count) {
-        ++result.shard_jobs;
-        if (std::optional<core::RunResult> hit = cache.load(paths[i])) {
-          observe_entry(i, *hit);
-          note_hit(paths[i]);
-          ++result.cache_hits;
-        } else {
-          pending.push_back(i);
-        }
-      }
-      hit_count.store(result.cache_hits);
-      ProgressReporter reporter(spec.progress_s, progress_out, result.shard_jobs, hit_count,
-                                executed_count);
-      execute_and_store(nullptr);
-      reporter.stop();
-      // Publish the completion marker only now: every claimed cell is
-      // durably stored first, so a marker can never lie about coverage.
-      ShardMarker marker;
-      marker.shard = spec.shard_index;
-      marker.of = spec.shard_count;
-      marker.total_jobs = result.total_jobs;
-      marker.cache_hits = result.cache_hits;
-      marker.stored = pending;
-      manifest.write_done(marker);
-      result.marker_path = manifest.marker_path(spec.shard_index, spec.shard_count);
-      result.executed_jobs = pending.size();
-      result.cache_misses = pending.size();
-      // No fold: this process holds a partial result set.  `caem merge`
-      // folds the full sweep from pure cache hits.
-      result.wall_s =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - started).count();
-      return result;
-    }
-
-    runs.resize(result.total_jobs);
+    // Scan: hits fill their fold slot and never enter the queue.
+    const bool fold = !spec.worker_mode;
+    if (fold) runs.resize(result.total_jobs);
+    std::vector<std::size_t> todo;
     for (std::size_t i = 0; i < result.total_jobs; ++i) {
       if (std::optional<core::RunResult> hit = cache.load(paths[i])) {
         observe_entry(i, *hit);
         note_hit(paths[i]);
-        runs[i] = std::move(*hit);
+        if (fold) runs[i] = std::move(*hit);
         ++result.cache_hits;
       } else {
-        pending.push_back(i);
+        todo.push_back(i);
       }
-    }
-    if (spec.merge_shards) {
-      // Census the completion markers: shards without a `.done` marker
-      // crashed (or never ran).  The cells they left unfinished are
-      // exactly the remaining cache misses, which this process now
-      // claims and executes below.  When markers for several shard
-      // counts coexist (an aborted launch re-started with a different
-      // N), trust the N with the most markers — the majority launch —
-      // breaking ties toward the larger N; the stale markers only ever
-      // affect this report, never the fold (misses are ground truth).
-      const std::vector<ShardMarker> markers = manifest.collect();
-      std::size_t best_count = 0;
-      for (const ShardMarker& marker : markers) {
-        std::size_t count = 0;
-        for (const ShardMarker& other : markers) count += other.of == marker.of;
-        if (count > best_count ||
-            (count == best_count && marker.of > result.shards_expected)) {
-          best_count = count;
-          result.shards_expected = marker.of;
-        }
-      }
-      for (std::size_t id = 1; id <= result.shards_expected; ++id) {
-        const bool done =
-            std::any_of(markers.begin(), markers.end(), [&](const ShardMarker& m) {
-              return m.of == result.shards_expected && m.shard == id;
-            });
-        if (done) {
-          ++result.shards_done;
-        } else {
-          result.shards_missing.push_back(id);
-        }
-      }
-      // Worker telemetry census: which worker drained what, at what
-      // cost — load imbalance and crash recovery made visible.
-      result.workers = manifest.collect_workers();
     }
     hit_count.store(result.cache_hits);
-    {
-      ProgressReporter reporter(spec.progress_s, progress_out, result.total_jobs, hit_count,
-                                executed_count);
-      execute_and_store(&runs);
-    }
-    result.executed_jobs = pending.size();
-    if (spec.merge_shards) {
-      // Claim the crashed shards' markers so a later merge (or
-      // --require-complete) sees a complete census: their unfinished
-      // cells are now durably stored by this process.
-      for (const std::size_t id : result.shards_missing) {
-        ShardMarker claim;
-        claim.shard = id;
-        claim.of = result.shards_expected;
-        claim.total_jobs = result.total_jobs;
-        claim.claimed_by_merge = true;
-        claim.stored = shard_slice(pending, id, result.shards_expected);
-        manifest.write_done(claim);
-      }
-    }
-  } else if (spec.flatten) {
-    // One queue over the whole cross product — the irregular-wavefront
-    // idiom: keep every worker busy as long as ANY job remains — drained
-    // longest-expected-first so the big cells never land on an
-    // otherwise-empty pool (a-priori costs only: with no cache there is
-    // nothing measured to refine them with).
-    std::vector<std::size_t> all(result.total_jobs);
-    std::iota(all.begin(), all.end(), std::size_t{0});
     ProgressReporter reporter(spec.progress_s, progress_out, result.total_jobs, hit_count,
                               executed_count);
-    runs = core::parallel_runs_ordered(
-        result.total_jobs, cost_order(all, job_cost),
-        [&](std::size_t i) {
-          if (cancel_requested()) throw SweepCancelled();
-          core::RunResult run = run_job(i);
-          executed_count.fetch_add(1);
-          return run;
-        },
-        spec.threads);
-    reporter.stop();
-    result.executed_jobs = result.total_jobs;
-  } else {
-    // Legacy barrier mode: one small pool per (point, protocol), joined
-    // before the next starts.  Kept for wall-clock A/B comparisons.
-    runs.reserve(result.total_jobs);
-    for (std::size_t p = 0; p < grid.size(); ++p) {
-      for (const core::Protocol protocol : spec.protocols) {
-        if (cancel_requested()) throw SweepCancelled();
-        core::Replicated replicated = core::run_replicated(
-            configs[p], protocol, spec.base_seed, reps, spec.options, spec.threads);
-        for (core::RunResult& run : replicated.runs) runs.push_back(std::move(run));
+
+    const std::vector<std::size_t> queue = cost_order(todo, job_cost);
+    const std::size_t threads =
+        spec.threads != 0 ? spec.threads
+                          : std::max<std::size_t>(1, std::thread::hardware_concurrency());
+    const std::size_t lanes = std::max<std::size_t>(1, std::min(threads, queue.size()));
+    // One board (one claim token) per lane: a token is one claimant.
+    std::vector<ClaimBoard> boards;
+    boards.reserve(lanes);
+    for (std::size_t k = 0; k < lanes; ++k) {
+      boards.emplace_back(spec.cache_dir, result.sweep_digest, spec.lease_s);
+    }
+    if (!queue.empty()) {
+      std::error_code error;
+      std::filesystem::create_directories(boards.front().dir(), error);
+      if (error) {
+        throw std::runtime_error("cannot create claim dir '" + boards.front().dir() +
+                                 "': " + error.message());
       }
     }
-    result.executed_jobs = result.total_jobs;
+
+    struct Lane {
+      std::vector<std::size_t> stored;  ///< cells this lane executed and stored
+      std::size_t hits = 0;             ///< cells it found stored mid-drain
+      bool stopped = false;             ///< left cells unresolved (cancel or a sibling's error)
+      std::exception_ptr error;
+    };
+    std::vector<Lane> lane_results(lanes);
+    // Lanes of this process split the queue through `taken` instead of
+    // contending on claim files: the first pass takes each cell for
+    // exactly one lane, which then owns it until it is resolved.
+    std::vector<std::atomic<bool>> taken(result.total_jobs);
+    std::atomic<bool> failed{false};
+    // While every cell a lane owns is held by a healthy peer, it blocks
+    // on the sweep's release epoch (work_queue.hpp, WAIT): a release in
+    // this process wakes it at once, and a cancel does too.  The
+    // timeout is the filesystem poll for peers in OTHER processes —
+    // their releases are invisible to the epoch — kept well under the
+    // lease so a stale claim is stolen soon after expiry.
+    const auto poll = std::chrono::duration<double>(std::min(0.5, spec.lease_s / 4.0));
+
+    const auto drain = [&](std::size_t lane) {
+      ClaimBoard& board = boards[lane];
+      Lane& out = lane_results[lane];
+      std::size_t stolen_reported = 0;
+      const auto settle_hit = [&](std::size_t job, core::RunResult& hit) {
+        // A peer finished it since the scan: a hit, not ours.
+        note_hit(paths[job]);
+        ++out.hits;
+        hit_count.fetch_add(1);
+        if (fold) runs[job] = std::move(hit);
+      };
+      try {
+        std::vector<std::size_t> pending = queue;
+        for (bool first_pass = true; !pending.empty(); first_pass = false) {
+          // Snapshot before the pass: a release after it ends the wait
+          // below; one before it stored its cell, which this pass sees.
+          const std::uint64_t epoch = board.release_epoch();
+          bool progressed = false;
+          std::vector<std::size_t> blocked;
+          for (const std::size_t job : pending) {
+            // Cooperative stop between cells (never mid-cell: a started
+            // cell completes and stores — stopping never wastes work
+            // already done, and no claim is held here).
+            if (cancel_requested() || failed.load()) {
+              out.stopped = true;
+              break;
+            }
+            if (first_pass && taken[job].exchange(true)) continue;  // a sibling lane's
+            if (std::optional<core::RunResult> hit = cache.load(paths[job])) {
+              settle_hit(job, *hit);
+              progressed = true;
+              continue;
+            }
+            if (board.try_claim(job) == ClaimBoard::Claim::kBusy) {
+              blocked.push_back(job);
+              continue;
+            }
+            // Won.  Re-check under the claim: the previous holder may
+            // have stored and released between our load and our acquire.
+            if (std::optional<core::RunResult> hit = cache.load(paths[job])) {
+              board.release(job);
+              settle_hit(job, *hit);
+              progressed = true;
+              continue;
+            }
+            core::RunResult run;
+            try {
+              // Heartbeat while computing; joined before the release so
+              // a late refresh can never resurrect a released claim.
+              const LeaseRefresher heartbeat(board, job, spec.lease_s);
+              run = timed_run(job);
+              cache.store(paths[job], run);
+            } catch (...) {
+              // Never exit holding a claim: peers would wait a full
+              // lease to steal a cell nobody is computing.
+              board.release(job);
+              throw;
+            }
+            board.release(job);
+            out.stored.push_back(job);
+            if (fold) runs[job] = std::move(run);
+            progressed = true;
+          }
+          sink.stolen.fetch_add(board.stolen() - stolen_reported);
+          stolen_reported = board.stolen();
+          if (out.stopped) break;
+          pending = std::move(blocked);
+          if (!pending.empty() && !progressed) {
+            (void)board.wait_release(epoch, poll, spec.cancel);
+          }
+        }
+      } catch (...) {
+        out.error = std::current_exception();
+        out.stopped = true;
+        failed.store(true);
+      }
+    };
+    {
+      std::vector<std::thread> helpers;
+      helpers.reserve(lanes - 1);
+      try {
+        for (std::size_t k = 1; k < lanes; ++k) helpers.emplace_back(drain, k);
+      } catch (...) {
+        failed.store(true);  // a thread failed to start: stop the started lanes
+        for (std::thread& helper : helpers) helper.join();
+        throw;
+      }
+      drain(0);
+      for (std::thread& helper : helpers) helper.join();
+    }
+    reporter.stop();
+
+    std::vector<std::size_t> stored;
+    for (std::size_t k = 0; k < lanes; ++k) {
+      const Lane& lane = lane_results[k];
+      if (lane.error) std::rethrow_exception(lane.error);
+      stored.insert(stored.end(), lane.stored.begin(), lane.stored.end());
+      result.cache_hits += lane.hits;
+      result.cancelled = result.cancelled || lane.stopped;
+      result.claims_stolen += boards[k].stolen();
+    }
+    result.executed_jobs = stored.size();
+
+    if (spec.worker_mode) {
+      result.cache_misses = result.executed_jobs;
+      result.worker_token = boards.front().token();
+      result.wall_s =
+          std::chrono::duration<double>(std::chrono::steady_clock::now() - started).count();
+      WorkerMarker report;
+      report.token = result.worker_token;
+      report.host = boards.front().host();
+      report.pid = static_cast<std::uint64_t>(::getpid());
+      report.total_jobs = result.total_jobs;
+      report.cache_hits = result.cache_hits;
+      report.stolen = result.claims_stolen;
+      report.wall_ms = result.wall_s * 1000.0;
+      std::sort(stored.begin(), stored.end());
+      report.stored = std::move(stored);
+      const ShardManifest manifest(spec.cache_dir, result.sweep_digest);
+      manifest.write_worker_done(report);
+      result.marker_path = manifest.worker_marker_path(result.worker_token);
+      // No fold: a later cached run (`caem merge`) folds the full sweep
+      // from pure cache hits once the last worker exits.
+      return result;
+    }
+    if (result.cancelled) throw SweepCancelled();
   }
   result.cache_misses = result.executed_jobs;
 

@@ -1,18 +1,25 @@
-// engine.hpp — execute a ScenarioSpec as one flattened job queue.
+// engine.hpp — execute a ScenarioSpec as one job queue.
 //
-// The old figure benches ran nested loops with a barrier per (point,
-// protocol): each run_replicated call spun up its own pool of `reps`
-// workers, joined it, then moved on — so a 6-point, 3-protocol sweep
-// was 18 sequential barriers of tiny width and the pool drained to one
-// straggler 18 times.  The engine instead expands the whole
-// (grid point x protocol x replication) cross product up front and
-// feeds it to a single parallel_runs queue — the irregular-wavefront
-// idiom (arXiv:1605.00930): keep every worker busy as long as ANY job
-// remains, regardless of which sweep point it belongs to.  Results are
-// folded back per (point, protocol) afterwards; folding is cheap and
-// sequential, so determinism is preserved bit-for-bit: job (p, proto,
-// rep) always runs seed base_seed + rep on an identical config,
-// whatever thread picks it up.
+// The engine expands the whole (grid point x protocol x replication)
+// cross product up front and drains it as ONE queue — the
+// irregular-wavefront idiom (arXiv:1605.00930): keep every worker busy
+// as long as ANY job remains, regardless of which sweep point it
+// belongs to, instead of joining a small pool per (point, protocol).
+// Results are folded back per (point, protocol) afterwards; folding is
+// cheap and sequential, so determinism is preserved bit-for-bit: job
+// (p, proto, rep) always runs seed base_seed + rep on an identical
+// config, whatever thread or process picks it up.
+//
+// There are exactly two drains:
+//
+//   * uncached — core::parallel_runs_ordered over the cost order, all
+//     in memory;
+//   * claimed — every cached run (`caem run --cache-dir`, `caem merge`,
+//     the service's drains and fold, `caem run --worker`).  Cells are
+//     claimed in the shared cache dir (scenario/work_queue.hpp) and
+//     stored the moment they finish, so any number of processes can
+//     drain one sweep together and an interrupted run keeps every cell
+//     it completed.  A worker stops there; every other run folds.
 #pragma once
 
 #include <atomic>
@@ -23,7 +30,6 @@
 
 #include "core/experiment.hpp"
 #include "scenario/scenario_spec.hpp"
-#include "scenario/shard_manifest.hpp"
 #include "util/table_writer.hpp"
 
 namespace caem::scenario {
@@ -37,12 +43,13 @@ struct ProgressSink {
   std::atomic<std::size_t> total{0};
   std::atomic<std::size_t> hits{0};
   std::atomic<std::size_t> executed{0};
-  std::atomic<std::size_t> stolen{0};  ///< stale claims stolen (worker mode)
+  std::atomic<std::size_t> stolen{0};  ///< stale claims stolen (claimed drains)
 };
 
-/// Thrown by non-worker run_scenario modes when ScenarioSpec::cancel
-/// flips mid-drain (worker mode returns a partial result flagged
-/// `cancelled` instead — it holds distributed state worth reporting).
+/// Thrown by a folding run_scenario when ScenarioSpec::cancel flips
+/// mid-drain, after its held claims are released; the cells it already
+/// finished stay stored.  (A worker returns a partial result flagged
+/// `cancelled` instead — it holds distributed state worth reporting.)
 class SweepCancelled : public std::runtime_error {
  public:
   SweepCancelled() : std::runtime_error("sweep cancelled") {}
@@ -70,45 +77,31 @@ struct ScenarioResult {
   std::vector<PointResult> points;     ///< grid expansion order
   std::size_t total_jobs = 0;
   bool cache_enabled = false;
-  /// Stats contract (coherent across all modes): cache_hits counts the
-  /// cells this process looked up and found, executed_jobs the cells it
-  /// simulated, and cache_misses == executed_jobs.  Unsharded/merge
-  /// runs scan the whole sweep, so cache_hits + executed_jobs ==
-  /// total_jobs; a shard run scans only its slice, so cache_hits +
-  /// executed_jobs == shard_jobs.  Summing executed_jobs over all
-  /// shards (plus the merge's) reconstructs the sweep's miss count.
+  /// Stats contract: cache_hits counts the cells this process looked up
+  /// and found stored — at scan time, or mid-drain after a peer
+  /// process stored them — executed_jobs the cells it simulated, and
+  /// cache_misses == executed_jobs.  A run that drains to completion
+  /// therefore has cache_hits + executed_jobs == total_jobs, and
+  /// summing executed_jobs over every process of a distributed launch
+  /// reconstructs the sweep's miss count.
   std::size_t cache_hits = 0;
   std::size_t cache_misses = 0;
   std::size_t executed_jobs = 0;
   double wall_s = 0.0;  ///< end-to-end engine time (expansion + runs + fold)
+  std::string sweep_digest;  ///< job-list digest (set whenever the cache is on)
 
-  // -- sharding / merge (see scenario/shard_manifest.hpp) --
-  std::size_t shard_index = 0;  ///< this process's 1-based shard id (0 = unsharded)
-  std::size_t shard_count = 0;  ///< >= 1 = partial shard run: points stays empty
-  std::size_t shard_jobs = 0;   ///< jobs in this shard's slice (hits + executed)
-  std::string sweep_digest;     ///< job-list digest (set whenever the cache is on)
-  std::string marker_path;      ///< completion marker a shard run published
-  bool merged = false;          ///< merge mode: census + completion + full fold
-  std::size_t shards_expected = 0;          ///< merge: N inferred from markers (0 = none found)
-  std::size_t shards_done = 0;              ///< merge: markers present for that N
-  std::vector<std::size_t> shards_missing;  ///< merge: 1-based ids without a marker
-
-  // -- worker mode (dynamic claiming, see scenario/work_queue.hpp) --
-  /// Worker run: this process drained the shared claim queue; points
-  /// stays empty (the merge folds).  cache_hits counts every cell this
-  /// worker observed already stored — at scan time or mid-drain when
-  /// another worker got there first — so cache_hits + executed_jobs ==
-  /// total_jobs for a worker that ran to completion.
+  // -- worker mode (see scenario/work_queue.hpp) --
+  /// Worker run: this process drained the shared claim queue and
+  /// published a telemetry marker; points stays empty (a later cached
+  /// run — `caem merge` — folds).
   bool worker_mode = false;
-  std::string worker_token;         ///< this worker's claim token
-  std::size_t claims_stolen = 0;    ///< stale/corrupt claims this worker stole
-  /// Worker mode only: spec.cancel flipped mid-drain; the held claim
-  /// was released, the telemetry marker written, and this result covers
+  std::string worker_token;       ///< token of the worker's first claim board
+  std::string marker_path;        ///< telemetry marker the worker published
+  std::size_t claims_stolen = 0;  ///< stale/corrupt claims this process stole
+  /// Worker mode only: spec.cancel flipped mid-drain; held claims were
+  /// released, the telemetry marker written, and this result covers
   /// only the cells resolved before the stop.
   bool cancelled = false;
-  /// Merge: per-worker telemetry reports found beside the shard markers
-  /// (sorted by token) — the straggler census.
-  std::vector<WorkerMarker> workers;
 };
 
 /// Decomposed flattened job index: job i is replication `rep` of
@@ -123,44 +116,28 @@ struct JobCoords {
 /// The (point, protocol, rep) coordinates of flattened job `index`.
 [[nodiscard]] JobCoords job_coords(const ScenarioSpec& spec, std::size_t index);
 
-/// Run the scenario.  spec.flatten=false falls back to the legacy
-/// per-point run_replicated barriers (kept for A/B perf measurement and
-/// as a determinism cross-check — both modes produce identical results).
+/// Run the scenario.
 ///
-/// With spec.cache_dir set (and use_cache), every (config digest,
-/// protocol, seed) cell is first looked up in the ResultCache: hits are
-/// never enqueued, misses execute on the flattened queue and are stored
-/// afterwards, so re-running a sweep after editing one axis only
-/// executes the new cells.  Caching requires the flattened queue
-/// (throws std::invalid_argument with scenario.flatten=0).
+/// Without a cache (spec.cache_dir empty, or use_cache off) every job
+/// runs in memory on spec.threads workers and the results fold.
 ///
-/// With spec.shard_count >= 1, this process is one worker of a
-/// distributed launch: it scans only its index-stride slice of the
-/// queue, executes that slice's misses, stores them, publishes a
-/// completion marker and returns WITHOUT folding (points stays empty —
-/// the partial result set is meaningless to fold).  With
-/// spec.merge_shards, it censuses the markers, executes whatever cells
-/// the cache still misses (crashed shards' unfinished work), writes
-/// claim markers for the missing shards, then folds the whole sweep
-/// from pure cache hits — rendering byte-identically to a
-/// single-process run.  Both modes require the cache and throw
-/// std::invalid_argument without it (or when combined with each other).
+/// With the cache, every (config digest, protocol, seed) cell is first
+/// looked up in the ResultCache: hits are never executed, so re-running
+/// a sweep after editing one axis only executes the new cells.  The
+/// misses drain on spec.threads lanes, each claiming cells in the cache
+/// dir's claim board (crash-safe lease/steal protocol —
+/// scenario/work_queue.hpp) and storing each cell as it finishes.  The
+/// drain ends once every cell is stored — by this process or by any
+/// peer draining the same sweep — so a peer's crash delays nothing
+/// beyond one lease.  spec.worker_mode then publishes a telemetry
+/// marker and returns without folding; every other run folds the whole
+/// sweep, rendering byte-identically to an uncached run.
 ///
-/// With spec.worker_mode, this process cooperatively drains the ONE
-/// shared queue instead of a static slice: cells are claimed
-/// dynamically in the cache dir (crash-safe lease/steal protocol —
-/// scenario/work_queue.hpp), drained longest-expected-first
-/// (scenario/cost_model.hpp), and the worker only exits once every
-/// cell of the sweep is durably cached — so killing any worker delays
-/// nothing beyond one lease.  Like a shard run it stores cells and
-/// publishes a (telemetry) marker but never folds.  Requires the
-/// cache; mutually exclusive with --shard and merge.
-///
-/// Everywhere the engine executes cells it drains them in descending
-/// expected cost (LPT): a-priori node_count x horizon, refined by the
-/// measured wall_ms of cache entries already present for the same
-/// (protocol, node_count) family.  Order affects wall clock only —
-/// results bind to job indices, never to drain order.
+/// Both drains take cells in descending expected cost (LPT): a-priori
+/// node_count x horizon, refined by the measured wall_ms of cache
+/// entries already present for the same (protocol, node_count) family.
+/// Order affects wall clock only — results bind to job indices, never
+/// to drain order.
 [[nodiscard]] ScenarioResult run_scenario(const ScenarioSpec& spec);
 
 /// Summary table: one row per (point, protocol) with the axis columns

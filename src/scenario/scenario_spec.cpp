@@ -84,8 +84,6 @@ void ScenarioSpec::apply_entry(const std::string& key, const std::string& value)
       if (options.max_sim_s <= 0.0) throw std::invalid_argument("scenario.max_sim_s must be > 0");
     } else if (field == "run_to_death") {
       options.run_to_death = parse_bool(key, value);
-    } else if (field == "flatten") {
-      flatten = parse_bool(key, value);
     } else if (field == "threads") {
       threads = static_cast<std::size_t>(parse_int(key, value));
     } else if (field == "cache_dir") {

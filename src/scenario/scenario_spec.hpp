@@ -4,7 +4,7 @@
 // includes, CRLF tolerated) with three reserved prefixes:
 //
 //   scenario.*   run control: name, protocols, seed, reps, max_sim_s,
-//                run_to_death, flatten, threads, cache_dir
+//                run_to_death, threads, cache_dir
 //   sweep.*      grid axes over NetworkConfig keys (list:/range: specs;
 //                a comma-joint key sweeps several keys in lockstep)
 //   output.*     artifact paths: output.csv, output.json, output.trace
@@ -41,7 +41,6 @@ struct ScenarioSpec {
   std::uint64_t base_seed = 2005;
   std::size_t replications = 2;
   core::RunOptions options;   ///< scenario.max_sim_s / scenario.run_to_death
-  bool flatten = true;        ///< false = legacy per-point barriers (perf A/B)
   std::size_t threads = 0;    ///< 0 = hardware concurrency
 
   /// Starting NetworkConfig before file/CLI overrides (benches seed this
@@ -68,34 +67,15 @@ struct ScenarioSpec {
   /// neither read nor write it.
   bool use_cache = true;
 
-  /// `caem run --shard=i/N` (CLI-only; deliberately NOT a file key —
-  /// every process of a sharded launch runs the same scenario file and
-  /// differs only in this flag): execute only the cache-miss cells
-  /// whose flattened job index is congruent to shard_index-1 mod
-  /// shard_count, store them into the shared cache dir, and publish a
-  /// completion marker instead of folding/rendering.  Requires the
-  /// result cache.  See scenario/shard_manifest.hpp.
-  std::size_t shard_index = 0;  ///< 1-based when sharded
-  std::size_t shard_count = 0;  ///< 0 = unsharded; >= 1 = shard run (an
-                                ///< explicit --shard=1/1 still publishes
-                                ///< its marker for the merge census)
-  /// `caem merge` / `caem run --require-complete` (CLI-only): census
-  /// the sweep's shard completion markers, execute any cell the cache
-  /// still misses (claiming crashed shards' unfinished cells), write
-  /// claim markers on their behalf, then fold and render exactly like
-  /// a single-process run.
-  bool merge_shards = false;
-
-  /// `caem run --worker` (CLI-only, same every-process-same-file
-  /// contract as --shard): drain the sweep's ONE shared queue by
-  /// dynamically claiming cells in the cache dir — any number of
-  /// workers, started and stopped at any time, cooperate without a
-  /// static partition.  Cells drain longest-expected-first, a worker
-  /// exits when every cell of the sweep is cached, and it publishes a
-  /// telemetry report instead of folding.  Requires the result cache.
-  /// See scenario/work_queue.hpp.
+  /// `caem run --worker` (CLI-only — every process of a distributed
+  /// launch runs the same scenario file and differs only in this flag):
+  /// drain the sweep's shared claim queue like any cached run, then
+  /// publish a telemetry report instead of folding.  Any number of
+  /// workers, started and stopped at any time, cooperate through the
+  /// cache dir; a worker exits when every cell of the sweep is cached.
+  /// Requires the result cache.  See scenario/work_queue.hpp.
   bool worker_mode = false;
-  /// `caem run --lease=<secs>`: staleness horizon for this worker's
+  /// `caem run --lease=<secs>`: staleness horizon for this run's
   /// claims — a claim not refreshed for this long is presumed crashed
   /// and stolen.  The holder refreshes every lease_s/3 while computing.
   double lease_s = 30.0;
@@ -117,13 +97,14 @@ struct ScenarioSpec {
   ProgressSink* progress_sink = nullptr;
 
   /// Cooperative cancellation: when non-null and it reads true, the
-  /// engine stops launching cells.  Worker mode releases its held claim,
-  /// still publishes its telemetry marker, and returns a partial result
-  /// flagged `cancelled`; every other mode throws SweepCancelled (no
-  /// partial fold is ever rendered).  Already-finished cells stay
-  /// durably cached either way — cancellation never loses work.  A
-  /// worker blocked on peers' claims re-checks the flag when woken:
-  /// raise it, then call ClaimBoard::wake_waiters() (work_queue.hpp).
+  /// engine stops launching cells.  A worker still publishes its
+  /// telemetry marker and returns a partial result flagged `cancelled`;
+  /// every other run throws SweepCancelled (no partial fold is ever
+  /// rendered).  A cached run has released every claim by then and
+  /// keeps every cell it finished stored — cancellation never loses
+  /// work.  A drain blocked on peers' claims re-checks the flag when
+  /// woken: raise it, then call ClaimBoard::wake_waiters()
+  /// (work_queue.hpp).
   const std::atomic<bool>* cancel = nullptr;
 
   /// Record every cache hit in the entry's `.touch` sidecar so the

@@ -51,27 +51,6 @@ std::vector<std::size_t> parse_indices(const std::string& csv) {
   return out;
 }
 
-/// shard_<i>_of_<N>.done -> (i, N); false on any other name.
-bool parse_marker_name(const std::string& name, std::size_t& shard, std::size_t& of) {
-  constexpr const char* kPrefix = "shard_";
-  constexpr const char* kSuffix = ".done";
-  constexpr std::size_t kPrefixLen = 6;
-  constexpr std::size_t kSuffixLen = 5;
-  if (name.size() <= kPrefixLen + kSuffixLen) return false;
-  if (name.rfind(kPrefix, 0) != 0) return false;
-  if (name.compare(name.size() - kSuffixLen, kSuffixLen, kSuffix) != 0) return false;
-  const std::string middle = name.substr(kPrefixLen, name.size() - kPrefixLen - kSuffixLen);
-  const auto pos = middle.find("_of_");
-  if (pos == std::string::npos) return false;
-  try {
-    shard = parse_size("marker filename", middle.substr(0, pos));
-    of = parse_size("marker filename", middle.substr(pos + 4));
-  } catch (const std::exception&) {
-    return false;
-  }
-  return shard >= 1 && of >= 1 && shard <= of;
-}
-
 /// worker_<sanitized token>.done — accepted loosely (any middle), the
 /// body's token field is the identity.
 bool is_worker_marker_name(const std::string& name) {
@@ -99,32 +78,6 @@ std::string sanitize_token(const std::string& token) {
 
 }  // namespace
 
-ShardRef parse_shard(const std::string& text) {
-  const auto slash = text.find('/');
-  if (slash == std::string::npos) {
-    throw std::invalid_argument("--shard expects i/N (e.g. --shard=2/3), got '" + text + "'");
-  }
-  ShardRef ref;
-  ref.index = parse_size("--shard index", text.substr(0, slash));
-  ref.count = parse_size("--shard count", text.substr(slash + 1));
-  if (ref.count == 0 || ref.index == 0 || ref.index > ref.count) {
-    throw std::invalid_argument("--shard=i/N needs 1 <= i <= N, got '" + text + "'");
-  }
-  return ref;
-}
-
-std::vector<std::size_t> shard_slice(const std::vector<std::size_t>& jobs, std::size_t index,
-                                     std::size_t count) {
-  if (count == 0 || index == 0 || index > count) {
-    throw std::invalid_argument("shard_slice: shard index must be in [1, count]");
-  }
-  std::vector<std::size_t> out;
-  for (const std::size_t job : jobs) {
-    if (job % count == index - 1) out.push_back(job);
-  }
-  return out;
-}
-
 std::string sweep_digest(const std::vector<std::string>& job_keys) {
   std::ostringstream canon;
   canon << "caem-sweep-v1\n" << job_keys.size() << '\n';
@@ -136,50 +89,6 @@ ShardManifest::ShardManifest(const std::string& cache_root, const std::string& s
     : sweep_(sweep), dir_((fs::path(cache_root) / "sweeps" / sweep).string()) {
   if (cache_root.empty()) throw std::invalid_argument("ShardManifest: empty cache directory");
   if (sweep.empty()) throw std::invalid_argument("ShardManifest: empty sweep digest");
-}
-
-std::string ShardManifest::marker_path(std::size_t shard, std::size_t of) const {
-  return (fs::path(dir_) /
-          ("shard_" + std::to_string(shard) + "_of_" + std::to_string(of) + ".done"))
-      .string();
-}
-
-void ShardManifest::write_done(const ShardMarker& marker) const {
-  std::ostringstream body;
-  body << "v = 1\n"
-       << "sweep = " << sweep_ << '\n'
-       << "shard = " << marker.shard << '\n'
-       << "of = " << marker.of << '\n'
-       << "total_jobs = " << marker.total_jobs << '\n'
-       << "cache_hits = " << marker.cache_hits << '\n'
-       << "claimed_by_merge = " << (marker.claimed_by_merge ? 1 : 0) << '\n'
-       << "stored = " << join_indices(marker.stored) << '\n';
-  // Publish-by-rename, same discipline as ResultCache::store: a crash
-  // mid-write can never publish a half-marker under the final name.
-  util::atomic_write_file(marker_path(marker.shard, marker.of), body.str(), "shard manifest");
-}
-
-std::optional<ShardMarker> ShardManifest::load_done(std::size_t shard, std::size_t of) const {
-  std::ifstream in(marker_path(shard, of), std::ios::binary);
-  if (!in) return std::nullopt;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  try {
-    const util::Config config = util::Config::from_text(buffer.str());
-    if (config.get_int("v", -1) != 1) return std::nullopt;
-    if (config.get_string("sweep", "") != sweep_) return std::nullopt;
-    ShardMarker marker;
-    marker.shard = parse_size("marker shard", config.get_string("shard", ""));
-    marker.of = parse_size("marker of", config.get_string("of", ""));
-    if (marker.shard != shard || marker.of != of) return std::nullopt;
-    marker.total_jobs = parse_size("marker total_jobs", config.get_string("total_jobs", "0"));
-    marker.cache_hits = parse_size("marker cache_hits", config.get_string("cache_hits", "0"));
-    marker.claimed_by_merge = config.get_bool("claimed_by_merge", false);
-    marker.stored = parse_indices(config.get_string("stored", ""));
-    return marker;
-  } catch (const std::exception&) {
-    return std::nullopt;  // torn/corrupt marker: treat the shard as not done
-  }
 }
 
 std::string ShardManifest::worker_marker_path(const std::string& token) const {
@@ -236,25 +145,6 @@ std::vector<WorkerMarker> ShardManifest::collect_workers() const {
   }
   std::sort(markers.begin(), markers.end(),
             [](const WorkerMarker& a, const WorkerMarker& b) { return a.token < b.token; });
-  return markers;
-}
-
-std::vector<ShardMarker> ShardManifest::collect() const {
-  std::vector<ShardMarker> markers;
-  std::error_code error;
-  fs::directory_iterator it(dir_, error);
-  if (error) return markers;  // no sweep dir yet: no shard has finished
-  for (const fs::directory_entry& entry : it) {
-    std::size_t shard = 0;
-    std::size_t of = 0;
-    if (!parse_marker_name(entry.path().filename().string(), shard, of)) continue;
-    if (std::optional<ShardMarker> marker = load_done(shard, of)) {
-      markers.push_back(std::move(*marker));
-    }
-  }
-  std::sort(markers.begin(), markers.end(), [](const ShardMarker& a, const ShardMarker& b) {
-    return a.of != b.of ? a.of < b.of : a.shard < b.shard;
-  });
   return markers;
 }
 

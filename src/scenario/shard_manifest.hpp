@@ -1,90 +1,42 @@
-// shard_manifest.hpp — distributed-sweep shard partition + completion markers.
+// shard_manifest.hpp — sweep identity and per-worker telemetry markers.
 //
-// A sharded sweep runs `caem run --shard=i/N` on N processes (or hosts)
-// that share one result-cache directory.  There is no separate control
-// plane: the cache IS the coordination substrate (the UtilCache idea —
-// a shared cache doubles as the merge point).  Each shard claims the
-// cells of the flattened job queue whose JOB INDEX is congruent to i-1
-// mod N and executes the ones the cache does not already hold.
+// A distributed sweep has no control plane: the shared result-cache
+// directory is the only coordination substrate (the UtilCache idea — a
+// shared cache doubles as the merge point).  Workers claim cells
+// dynamically (scenario/work_queue.hpp) and, on exit, each publishes a
+// telemetry report
 //
-// Claiming by job index — not by rank in the observed miss list — makes
-// the partition a pure function of (job index, N): shards started at
-// different times, or re-started after a crash, always claim the same
-// pairwise-disjoint cells no matter how much of the sweep other shards
-// have already stored (another shard's stores land in OTHER residue
-// classes, so they can shrink this shard's pending work but never shift
-// it).  The union of the N claims, intersected with the misses, is
-// exactly the sweep's miss list — a tested contract.
+//   <cache-dir>/sweeps/<sweep digest>/worker_<sanitized token>.done
 //
-// Completion protocol: a shard that finishes its whole slice atomically
-// (write-then-rename) publishes
+// recording which cells it executed and at what cost, so `caem merge`
+// can print the straggler census instead of leaving load imbalance
+// invisible.  The reports claim nothing — completion is always read
+// from the cache itself — so a missing or corrupt report costs only
+// telemetry.
 //
-//   <cache-dir>/sweeps/<sweep digest>/shard_<i>_of_<N>.done
-//
-// recording the job indices it stored.  The sweep digest pins the whole
-// flattened job list (every cell's cache key, in job order), so markers
-// from a different scenario, seed, or axis edit can never be mistaken
-// for this sweep's.  `caem merge` (or `caem run --require-complete`)
-// reads the markers to census crashed shards, re-executes any cell the
-// cache still misses (a `.done`-less shard's unfinished cells are
-// thereby claimed by the merger), writes claim markers on its behalf,
-// and folds the full result set from pure cache hits.
-//
-// Crash safety: a marker is written only after every claimed cell is
-// durably stored, and each cell store is itself write-then-rename.  A
-// shard killed at ANY point therefore leaves (a) nothing, (b) some
-// complete cells and no marker, or (c) everything and a marker — never
-// a torn cell and never a lying marker.  Re-running the shard or
-// merging from any of these states converges on the same complete
-// cache; overlapping claims during races are harmless because runs are
-// deterministic functions of the key and stores are idempotent.
+// The sweep digest pins the whole flattened job list (every cell's
+// cache key, in job order), so claims and reports from a different
+// scenario, seed, or axis edit can never be mistaken for this sweep's.
 #pragma once
 
 #include <cstddef>
-#include <optional>
+#include <cstdint>
 #include <string>
 #include <vector>
 
 namespace caem::scenario {
 
-/// Parsed `--shard=i/N` reference (1-based index).
-struct ShardRef {
-  std::size_t index = 1;
-  std::size_t count = 1;
-};
-
-/// Parse "i/N".  Throws std::invalid_argument unless 1 <= i <= N.
-[[nodiscard]] ShardRef parse_shard(const std::string& text);
-
-/// The subset of `jobs` shard (index, count) claims: job values with
-/// `job % count == index - 1`.  Pure in the job VALUES, so the result
-/// is independent of the list's construction time — see the header
-/// comment.  Throws std::invalid_argument unless 1 <= index <= count.
-[[nodiscard]] std::vector<std::size_t> shard_slice(const std::vector<std::size_t>& jobs,
-                                                   std::size_t index, std::size_t count);
-
 /// Digest of a sweep's flattened job list: the ordered cache entry keys
-/// (ResultCache::entry_key) of every job.  Identical for every shard of
+/// (ResultCache::entry_key) of every job.  Identical for every worker of
 /// the same sweep; different for any edit that changes a cell or the
 /// job-index mapping.
 [[nodiscard]] std::string sweep_digest(const std::vector<std::string>& job_keys);
 
-/// Contents of one completion marker.
-struct ShardMarker {
-  std::size_t shard = 1;            ///< 1-based shard id
-  std::size_t of = 1;               ///< shard count N
-  std::size_t total_jobs = 0;       ///< flattened queue length of the sweep
-  std::size_t cache_hits = 0;       ///< hits observed in this shard's slice at scan time
-  bool claimed_by_merge = false;    ///< written by `caem merge` on behalf of a crashed shard
-  std::vector<std::size_t> stored;  ///< job indices this writer executed and stored
-};
-
 /// Per-worker completion report for a dynamically claimed sweep
-/// (`caem run --worker`).  Unlike a ShardMarker it claims nothing — the
-/// claim protocol (work_queue.hpp) already settled ownership cell by
-/// cell — it is pure telemetry: which cells this worker actually drained
-/// and at what cost, so `caem merge` can name the straggler instead of
-/// leaving load imbalance invisible.
+/// (`caem run --worker`).  It claims nothing — the claim protocol
+/// (work_queue.hpp) already settled ownership cell by cell — it is pure
+/// telemetry: which cells this worker actually drained and at what
+/// cost.
 struct WorkerMarker {
   std::string token;                ///< ClaimBoard token (host:pid:nonce-…)
   std::string host;
@@ -100,27 +52,12 @@ struct WorkerMarker {
 /// are plain `key = value` text (util::Config syntax) written with the
 /// same write-then-rename discipline as cache entries; anything
 /// unreadable, unparseable, or stamped with a different sweep digest
-/// reads as absent, never as data.  Worker markers live beside shard
-/// markers as `worker_<sanitized token>.done`; the `shard_` filename
-/// prefix keeps the two censuses disjoint.
+/// reads as absent, never as data.
 class ShardManifest {
  public:
   ShardManifest(const std::string& cache_root, const std::string& sweep);
 
   [[nodiscard]] const std::string& dir() const noexcept { return dir_; }
-
-  [[nodiscard]] std::string marker_path(std::size_t shard, std::size_t of) const;
-
-  /// Atomically publish a completion marker (creates the sweep dir).
-  /// Throws std::runtime_error on an unwritable path.
-  void write_done(const ShardMarker& marker) const;
-
-  /// Load one marker; std::nullopt when absent, corrupt, or stamped for
-  /// a different sweep.
-  [[nodiscard]] std::optional<ShardMarker> load_done(std::size_t shard, std::size_t of) const;
-
-  /// Every valid marker present for this sweep, sorted by (of, shard).
-  [[nodiscard]] std::vector<ShardMarker> collect() const;
 
   [[nodiscard]] std::string worker_marker_path(const std::string& token) const;
 

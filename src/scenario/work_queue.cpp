@@ -1,6 +1,7 @@
 #include "scenario/work_queue.hpp"
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <condition_variable>
 #include <filesystem>
@@ -12,6 +13,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include <fcntl.h>
+#include <stdio.h>
 #include <unistd.h>
 
 #include "util/atomic_file.hpp"
@@ -121,12 +124,12 @@ std::string ClaimBoard::claim_path(std::size_t job) const {
   return (fs::path(dir_) / ("job_" + std::to_string(job) + ".claim")).string();
 }
 
-std::string ClaimBoard::claim_body(std::size_t job) const {
+std::string ClaimBoard::claim_body(std::size_t job, const std::string& token) const {
   std::ostringstream body;
   body << "v = 1\n"
        << "sweep = " << sweep_ << '\n'
        << "job = " << job << '\n'
-       << "token = " << token_ << '\n'
+       << "token = " << token << '\n'
        << "host = " << host_ << '\n'
        << "pid = " << ::getpid() << '\n'
        << "epoch_ms = " << now_ms() << '\n'
@@ -162,45 +165,95 @@ std::optional<ClaimInfo> ClaimBoard::read_claim(const std::string& path, std::si
   }
 }
 
-bool ClaimBoard::take(std::size_t job, const std::optional<ClaimInfo>& judged) {
-  // rename with a destination unique to (this board, this attempt) is a
-  // filesystem test-and-take: of N racing stealers exactly one rename
-  // finds the source present and succeeds; the rest get ENOENT.
+bool ClaimBoard::is_judged(const std::optional<ClaimInfo>& moved,
+                           const std::optional<ClaimInfo>& judged) {
+  if (moved.has_value() != judged.has_value()) return false;
+  return !moved.has_value() ||
+         (moved->token == judged->token && moved->epoch_ms == judged->epoch_ms);
+}
+
+std::optional<ClaimBoard::Claim> ClaimBoard::steal(std::size_t job,
+                                                  const std::optional<ClaimInfo>& judged) {
+  const std::string path = claim_path(job);
+  // A name unique to (this board, this attempt).
+  const std::string aside = path + ".steal-" + std::to_string(::getpid()) + "-" +
+                            std::to_string(next_nonce());
+  // Our candidate claim goes in under a token that is not ours: a late
+  // stealer's candidate can be left standing (see below), and it must
+  // never read as "already ours" to a later try_claim of this board.
+  util::atomic_write_file(aside, claim_body(job, token_ + "/steal"), "work claim steal");
+  std::error_code ignored;
+  // Swap the candidate in for whatever stands at the claim path in ONE
+  // step: the path is never empty, so no racer's acquire can land in
+  // between.  The exchange is the test-and-take: of N racing stealers
+  // exactly one moves the judged corpse out.
+  if (::renameat2(AT_FDCWD, aside.c_str(), AT_FDCWD, path.c_str(), RENAME_EXCHANGE) != 0) {
+    const int error = errno;
+    fs::remove(aside, ignored);
+    if (error == EINVAL || error == ENOSYS) return steal_by_rename(job, judged);
+    return std::nullopt;  // the holder released since our look: the cell is free
+  }
+  if (is_judged(read_claim(aside, job), judged)) {
+    fs::remove(aside, ignored);
+    ++stolen_;
+    refresh(job);  // re-stamp under our own token (a rename-replace: never empty)
+    return Claim::kWon;
+  }
+  // Late: a faster stealer evicted the corpse first, and we displaced
+  // its live claim.  Swap that back; the path held our candidate all
+  // the while, so no third racer acquired the cell.  If its holder
+  // released meanwhile the exchange finds no path and the cell is
+  // free.  Concurrent late stealers can end up restoring each other's
+  // candidates instead of the winner's claim; a candidate reads as a
+  // healthy foreign claim, and the winner's next refresh replaces it.
+  (void)::renameat2(AT_FDCWD, aside.c_str(), AT_FDCWD, path.c_str(), RENAME_EXCHANGE);
+  fs::remove(aside, ignored);
+  return Claim::kBusy;
+}
+
+std::optional<ClaimBoard::Claim> ClaimBoard::steal_by_rename(
+    std::size_t job, const std::optional<ClaimInfo>& judged) {
+  // For filesystems without RENAME_EXCHANGE (e.g. NFS).  rename with a
+  // destination unique to (this board, this attempt) is a filesystem
+  // test-and-take: of N racing stealers exactly one rename finds the
+  // source present and succeeds; the rest get ENOENT.
   const std::string from = claim_path(job);
   const std::string to = from + ".stale-" + std::to_string(::getpid()) + "-" +
                          std::to_string(next_nonce());
   std::error_code error;
   fs::rename(from, to, error);
-  if (error) return false;
+  if (error) return std::nullopt;
   // The rename moves whatever claim stands NOW.  A faster stealer may
   // have evicted the judged corpse and published its own live claim
-  // since our look: put that claim back instead of evicting it.  (If a
-  // third claim appeared in between, the link fails and two holders
-  // run the cell — wasteful, but stores are idempotent.)
-  const std::optional<ClaimInfo> moved = read_claim(to, job);
-  const bool judged_one = moved.has_value() == judged.has_value() &&
-                          (!moved.has_value() || (moved->token == judged->token &&
-                                                  moved->epoch_ms == judged->epoch_ms));
+  // since our look: put that claim back instead of evicting it.  Here
+  // the path IS empty until the link lands, so a third racer's acquire
+  // can slip in — two holders run the cell, which is wasteful but
+  // harmless (stores are idempotent).
+  const bool judged_one = is_judged(read_claim(to, job), judged);
   if (!judged_one) fs::create_hard_link(to, from, error);
   fs::remove(to, error);  // best-effort cleanup of the moved file
-  return judged_one;
+  if (!judged_one) return Claim::kBusy;
+  ++stolen_;
+  return std::nullopt;  // the corpse is gone: acquire normally
 }
 
 ClaimBoard::Claim ClaimBoard::try_claim(std::size_t job) {
   const std::string path = claim_path(job);
   // Each pass either acquires, observes a healthy foreign holder, or
-  // evicts a stale/corrupt claim and retries.  The bound only guards
-  // against a pathological acquire/release storm; hitting it simply
-  // reports busy and the caller repolls later.
+  // steals a stale/corrupt claim.  The bound only guards against a
+  // pathological acquire/release storm; hitting it simply reports busy
+  // and the caller repolls later.
   for (int attempt = 0; attempt < 16; ++attempt) {
-    if (util::atomic_create_file(path, claim_body(job), "work claim")) return Claim::kWon;
+    if (util::atomic_create_file(path, claim_body(job, token_), "work claim")) {
+      return Claim::kWon;
+    }
     const std::optional<ClaimInfo> standing = peek(job);
     if (!standing.has_value()) {
       std::error_code error;
       if (!fs::exists(path, error)) continue;  // holder released: re-try the acquire
       // Present but unreadable: a claim is published complete (temp +
       // hard link), so this is hand damage — evict it like a stale one.
-      if (take(job, std::nullopt)) ++stolen_;
+      if (const std::optional<Claim> claim = steal(job, std::nullopt)) return *claim;
       continue;
     }
     if (standing->token == token_) return Claim::kWon;  // already ours
@@ -220,9 +273,8 @@ ClaimBoard::Claim ClaimBoard::try_claim(std::size_t job) {
     const bool expired = now > standing->epoch_ms + lease_ms;
     const bool future_dated = standing->epoch_ms > now + lease_ms;
     if (!expired && !future_dated) return Claim::kBusy;  // healthy holder
-    if (take(job, standing)) ++stolen_;
-    // Lost the steal race (or won it): either way loop — the next pass
-    // acquires, or observes the winning stealer's fresh claim as busy.
+    if (const std::optional<Claim> claim = steal(job, standing)) return *claim;
+    // The corpse is gone and the path is free: the next pass acquires.
   }
   return Claim::kBusy;
 }
@@ -232,7 +284,7 @@ void ClaimBoard::refresh(std::size_t job) const {
   // holder calls this, well inside its lease; if a stealer evicted us
   // anyway (extreme descheduling) the refresh re-publishes our claim
   // and both execute the cell — wasteful, but stores are idempotent.
-  util::atomic_write_file(claim_path(job), claim_body(job), "work claim refresh");
+  util::atomic_write_file(claim_path(job), claim_body(job, token_), "work claim refresh");
 }
 
 void ClaimBoard::release(std::size_t job) const {

@@ -1,13 +1,13 @@
-// work_queue.hpp — crash-safe dynamic cell claiming for distributed sweeps.
+// work_queue.hpp — crash-safe dynamic cell claiming for cached sweeps.
 //
-// Static `--shard=i/N` residue slices make a sweep's wall clock the
-// slowest shard's wall clock: whoever draws the run-to-extinction cell
-// drags the merge while every other shard idles.  Worker mode replaces
-// the static partition with one shared queue that N cooperating
-// `caem run --worker` processes drain by CLAIMING cells dynamically —
-// the work-stealing answer to irregular workloads (arXiv:1605.00930),
-// with the shared cache directory again serving as the only
-// coordination substrate (no daemon, no socket: claims are files).
+// Every cached sweep drains through claims: one shared queue that any
+// number of cooperating processes (`caem run --worker`, `caem run
+// --cache-dir`, `caem merge`, the service's drains) empty by CLAIMING
+// cells dynamically — the work-stealing answer to irregular workloads
+// (arXiv:1605.00930), with the shared cache directory as the only
+// coordination substrate (no daemon, no socket: claims are files).  A
+// fast process simply claims more cells, so a sweep's makespan is never
+// hostage to whoever drew the run-to-extinction cell.
 //
 // Claim protocol, one file per in-flight cell:
 //
@@ -28,12 +28,17 @@
 //           lease in the FUTURE (fast-clock host, corrupt stamp) is
 //           treated as stale too — otherwise it could never expire in
 //           this process's frame and the cell would be unstealable.
-// STEAL     rename the stale claim to a name unique to the stealer.
-//           rename succeeds for exactly one of N racing stealers (the
-//           rest get ENOENT) — a filesystem test-and-take — after which
-//           the winner deletes the moved file and ACQUIREs normally.  A
-//           late stealer whose rename instead moved a claim published
-//           after its look (the winner's fresh one) links it back.
+// STEAL     write a candidate claim aside, then swap it in for the
+//           stale one with renameat2(RENAME_EXCHANGE).  The exchange is
+//           a filesystem test-and-take — of N racing stealers exactly
+//           one moves the judged corpse out — and the claim path is
+//           never empty, so no acquire can slip in mid-steal.  A late
+//           stealer whose exchange instead moved out a claim published
+//           after its look (the winner's) swaps it straight back.
+//           Where the filesystem rejects the exchange (EINVAL/ENOSYS,
+//           e.g. NFS) the stealer renames the corpse away and acquires
+//           normally; there a third racer can slip into the empty path
+//           and run the cell a second time.
 // RELEASE   the holder deletes its claim after the cell's result is
 //           durably stored in the cache, then bumps the sweep's
 //           in-process release epoch and notifies its waiters.
@@ -139,14 +144,24 @@ class ClaimBoard {
 
  private:
   [[nodiscard]] std::string claim_path(std::size_t job) const;
-  [[nodiscard]] std::string claim_body(std::size_t job) const;
+  [[nodiscard]] std::string claim_body(std::size_t job, const std::string& token) const;
   /// Parse the claim file at `path` as job `job`'s claim.
   [[nodiscard]] std::optional<ClaimInfo> read_claim(const std::string& path,
                                                     std::size_t job) const;
-  /// Atomically take a claim file away from its (stale) holder.  True
-  /// when this board's rename won the race AND moved the very claim that
-  /// was judged dead (`judged`; nullopt = an unreadable one).
-  [[nodiscard]] bool take(std::size_t job, const std::optional<ClaimInfo>& judged);
+  /// True when `moved` is the very claim that was judged dead
+  /// (`judged`; nullopt = an unreadable one).
+  [[nodiscard]] static bool is_judged(const std::optional<ClaimInfo>& moved,
+                                      const std::optional<ClaimInfo>& judged);
+
+  /// Take the claim on `job` away from its stale holder (STEAL above):
+  /// kWon when our claim replaced the judged one, kBusy when a faster
+  /// stealer's live claim stands, nullopt when the claim path is free
+  /// and the caller should acquire again.
+  [[nodiscard]] std::optional<Claim> steal(std::size_t job,
+                                           const std::optional<ClaimInfo>& judged);
+  /// STEAL's fallback where the filesystem has no RENAME_EXCHANGE.
+  [[nodiscard]] std::optional<Claim> steal_by_rename(std::size_t job,
+                                                     const std::optional<ClaimInfo>& judged);
 
   std::string sweep_;
   std::string dir_;

@@ -174,13 +174,31 @@ void HttpEndpoint::stop() {
   ::shutdown(listen_fd_, SHUT_RDWR);
   if (accept_thread_.joinable()) accept_thread_.join();
   ::close(listen_fd_);
-  std::vector<std::thread> connections;
+  std::list<Connection> connections;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    connections = std::move(connections_);
+    connections = std::move(connections_);  // list nodes (and the flags) stay put
   }
-  for (std::thread& thread : connections) {
-    if (thread.joinable()) thread.join();
+  for (Connection& connection : connections) {
+    if (connection.thread.joinable()) connection.thread.join();
+  }
+}
+
+std::size_t HttpEndpoint::held_connections() {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return connections_.size();
+}
+
+void HttpEndpoint::reap_finished() {
+  for (auto it = connections_.begin(); it != connections_.end();) {
+    if (!it->finished) {
+      ++it;
+      continue;
+    }
+    // Flagged under mutex_ as its last act: the thread is exiting, so
+    // this join is immediate.
+    it->thread.join();
+    it = connections_.erase(it);
   }
 }
 
@@ -197,7 +215,16 @@ void HttpEndpoint::accept_loop() {
       ::close(fd);
       return;
     }
-    connections_.emplace_back([this, fd] { serve_connection(fd); });
+    // A long-running daemon serves requests without end: join the
+    // connections that are done rather than hold every thread (and its
+    // stack mapping) until stop().
+    reap_finished();
+    Connection& connection = connections_.emplace_back();
+    connection.thread = std::thread([this, fd, &connection] {
+      serve_connection(fd);
+      const std::lock_guard<std::mutex> done(mutex_);
+      connection.finished = true;
+    });
   }
 }
 

@@ -18,12 +18,11 @@
 
 #include <cstdint>
 #include <functional>
+#include <list>
 #include <map>
+#include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
-
-#include <mutex>
 
 namespace caem::service {
 
@@ -64,16 +63,28 @@ class HttpEndpoint {
 
   [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
 
+  /// Connection threads not yet joined.  The accept loop joins the
+  /// finished ones before starting each new one, so this stays near the
+  /// number of requests in flight however many have been served.
+  [[nodiscard]] std::size_t held_connections();
+
  private:
+  struct Connection {
+    std::thread thread;
+    bool finished = false;  ///< guarded by mutex_
+  };
+
   void accept_loop();
   void serve_connection(int fd) const;
+  /// Join and drop finished connections.  Caller holds mutex_.
+  void reap_finished();
 
   Handler handler_;
   int listen_fd_ = -1;
   std::uint16_t port_ = 0;
   std::thread accept_thread_;
   std::mutex mutex_;
-  std::vector<std::thread> connections_;
+  std::list<Connection> connections_;  ///< stable addresses: each thread flags its own entry
   bool stopped_ = false;
 };
 

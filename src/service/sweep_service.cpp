@@ -171,10 +171,7 @@ HttpResponse SweepService::submit(const HttpRequest& request) {
   // are CLI process-launch concerns; the service runs its own drains).
   sweep->spec.cache_dir = config_.store_dir;
   sweep->spec.use_cache = true;
-  sweep->spec.shard_index = 0;
-  sweep->spec.shard_count = 0;
   sweep->spec.worker_mode = false;
-  sweep->spec.merge_shards = false;
   sweep->spec.progress_s = 0.0;
 
   // Expand the grid NOW: a bad axis/config fails the submit with a 400
@@ -414,11 +411,11 @@ void SweepService::dispatch_loop() {
 }
 
 void SweepService::run_sweep(Sweep& sweep) {
-  // Phase 1 — drain: K in-process threads run the SAME worker-mode loop
-  // `caem run --worker` uses, claiming cells in the store's ClaimBoard.
-  // They cooperate with each other (and with any external worker
-  // pointed at the store) through claims alone; each reports into its
-  // own ProgressSink so status polls see per-thread censuses.
+  // Phase 1 — drain: K in-process threads each run the SAME one-lane
+  // claim drain `caem run --worker` uses, claiming cells in the store's
+  // ClaimBoard.  They cooperate with each other (and with any external
+  // worker pointed at the store) through claims alone; each reports
+  // into its own ProgressSink so status polls see per-thread censuses.
   std::mutex error_mutex;
   std::string first_error;
   std::vector<std::thread> drains;
@@ -427,6 +424,7 @@ void SweepService::run_sweep(Sweep& sweep) {
     drains.emplace_back([this, &sweep, &error_mutex, &first_error, k] {
       scenario::ScenarioSpec worker = sweep.spec;
       worker.worker_mode = true;
+      worker.threads = 1;  // one lane per drain thread: the sink is per-thread
       worker.lease_s = config_.lease_s;
       worker.csv_path.clear();
       worker.json_path.clear();
@@ -454,9 +452,10 @@ void SweepService::run_sweep(Sweep& sweep) {
   } else if (sweep.cancel.load()) {
     terminal = State::kCancelled;
   } else {
-    // Phase 2 — fold: the merge path re-reads the now-complete sweep
-    // from pure cache hits and renders the artifacts, byte-identical to
-    // a direct single-process run (a tested engine contract).
+    // Phase 2 — fold: a plain cached run re-reads the now-complete
+    // sweep from pure cache hits and renders the artifacts,
+    // byte-identical to a direct single-process run (a tested engine
+    // contract).
     try {
       std::error_code error;
       fs::create_directories(sweep.artifacts_dir, error);
@@ -465,7 +464,6 @@ void SweepService::run_sweep(Sweep& sweep) {
                                  "': " + error.message());
       }
       scenario::ScenarioSpec merge = sweep.spec;
-      merge.merge_shards = true;
       merge.record_touches = true;
       merge.cancel = &sweep.cancel;  // service shutdown aborts the fold too
       std::ostringstream log;

@@ -23,11 +23,11 @@
 //
 // Execution reuses the existing engines wholesale — no second
 // scheduler: a submitted sweep is drained by K in-process threads each
-// running the SAME worker-mode run_scenario loop that `caem run
-// --worker` uses (dynamic cell claiming through the store's ClaimBoard,
-// so external workers pointed at the store can even join a drain), then
-// folded by the same merge path, which renders artifacts from pure
-// cache hits.  Progress is observed through ScenarioSpec::progress_sink
+// running the SAME claim drain that `caem run --worker` uses (dynamic
+// cell claiming through the store's ClaimBoard, so external workers
+// pointed at the store can even join a drain), then folded by a plain
+// cached run — what `caem merge` does — which renders artifacts from
+// pure cache hits.  Progress is observed through ScenarioSpec::progress_sink
 // and cancellation through ScenarioSpec::cancel — the hooks exist
 // precisely so the service never has to reimplement drain logic.
 //

@@ -1,4 +1,4 @@
-// ladder_queue.hpp — bucketed pending-event set (PendingSet impl).
+// ladder_queue.hpp — bucketed pending-event set (the kernel's queue).
 //
 // A two-tier ladder/calendar structure (Tang & Gan's "ladder queue"
 // adapted to this kernel's generation-stamped cancel contract) with
@@ -64,15 +64,15 @@
 
 namespace caem::sim {
 
-class LadderQueue final : public PendingSet {
+class LadderQueue {
  public:
   using Fired = sim::Fired;
 
-  EventId schedule(double time_s, EventCallback callback) override;
-  bool cancel(EventId id) noexcept override;
+  EventId schedule(double time_s, EventCallback callback);
+  bool cancel(EventId id) noexcept;
 
-  [[nodiscard]] bool empty() const noexcept override { return live_count_ == 0; }
-  [[nodiscard]] std::size_t size() const noexcept override { return live_count_; }
+  [[nodiscard]] bool empty() const noexcept { return live_count_ == 0; }
+  [[nodiscard]] std::size_t size() const noexcept { return live_count_; }
 
   /// Time of the earliest live event; throws std::out_of_range when
   /// empty.  May restage buckets / prune tombstones (hence non-const).
@@ -81,17 +81,16 @@ class LadderQueue final : public PendingSet {
   /// Const variant for idle checks.  Logically const: restaging moves
   /// entries between internal containers but never changes the live
   /// event set or its drain order.
-  [[nodiscard]] double peek_time() const override {
+  [[nodiscard]] double peek_time() const {
     return const_cast<LadderQueue*>(this)->next_time();
   }
 
-  Fired pop() override;
-  void clear() noexcept override;
+  Fired pop();
+  void clear() noexcept;
 
-  [[nodiscard]] KernelCounters counters() const noexcept override {
+  [[nodiscard]] KernelCounters counters() const noexcept {
     return {total_scheduled(), fired_count_, cancelled_count_, pruned_count_};
   }
-  [[nodiscard]] const char* kind_name() const noexcept override { return "ladder"; }
 
   /// Total events ever scheduled (diagnostics / micro-benchmarks).
   [[nodiscard]] std::uint64_t total_scheduled() const noexcept { return next_sequence_ - 1; }

@@ -1,25 +1,33 @@
-// pending_set.hpp — the kernel's pending-event set contract.
+// pending_set.hpp — the kernel's pending-event set contract and the
+// types it trades in.
 //
 // The discrete-event engine needs exactly one thing from its timing
 // structure: hand back live events in (time_s, sequence) order, with
-// O(1) generation-safe cancellation.  Two implementations satisfy the
-// contract:
+// O(1) generation-safe cancellation.  Two classes implement the same
+// members with identical semantics:
 //
-//   * EventQueue  — binary min-heap (the original kernel structure).
+//   schedule(t, fn)  EventId usable with cancel(); throws
+//                    std::invalid_argument for a NaN time or empty fn
+//   cancel(id)       O(1); true iff the event was still pending
+//   empty(), size()  live (non-cancelled) events only
+//   peek_time()      earliest live time; std::out_of_range when empty
+//   pop()            remove and return the earliest live event
+//   clear()          drop everything; outstanding ids go stale for good
+//   counters()       lifetime KernelCounters
+//
 //   * LadderQueue — two-tier bucketed ladder, amortized O(1) per event
-//                   independent of pending-set size.
+//                   independent of pending-set size.  The Simulator
+//                   owns one by value: no virtual call on the hot path.
+//   * EventQueue  — binary min-heap.  It runs no simulation; it stays
+//                   as the equivalence oracle the ladder is tested
+//                   (tests/test_ladder_queue.cpp) and benchmarked
+//                   (bench/bench_queue.cpp) against.
 //
 // Both produce the exact same pop order (strict (time, sequence) FIFO),
-// so every simulation artifact is byte-identical regardless of which
-// one a run uses.  The `sim.queue_kind` knob that selects between them
-// is therefore an execution detail and MUST NOT enter
-// NetworkConfig::canonical_text() — it can never change a result, so it
-// can never change a cache key.
+// so the oracle comparison is exact, not statistical.
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <string_view>
 
 #include "sim/event_fn.hpp"
 
@@ -59,56 +67,5 @@ struct KernelCounters {
     return *this;
   }
 };
-
-class PendingSet {
- public:
-  virtual ~PendingSet() = default;
-
-  /// Schedule `callback` at absolute time `time_s`.  Returns a handle
-  /// usable with cancel().  Throws std::invalid_argument for NaN times
-  /// or an empty callback.
-  virtual EventId schedule(double time_s, EventCallback callback) = 0;
-
-  /// Cancel a pending event in O(1).  Returns true if the event was
-  /// pending; false if it already fired, was already cancelled, or is
-  /// invalid/stale.
-  virtual bool cancel(EventId id) noexcept = 0;
-
-  /// True when no live (non-cancelled) events remain.
-  [[nodiscard]] virtual bool empty() const noexcept = 0;
-
-  /// Number of live pending events.
-  [[nodiscard]] virtual std::size_t size() const noexcept = 0;
-
-  /// Time of the earliest live event; throws std::out_of_range when
-  /// empty.  Logically const: implementations may prune tombstones or
-  /// restage buckets internally, but the live-event set and its order
-  /// are unchanged.
-  [[nodiscard]] virtual double peek_time() const = 0;
-
-  /// Remove and return the earliest live event.
-  /// Throws std::out_of_range when empty.
-  virtual Fired pop() = 0;
-
-  /// Drop every pending event.  Outstanding ids become stale (their
-  /// cancel() returns false) and are never reused.
-  virtual void clear() noexcept = 0;
-
-  /// Lifetime op counts (see KernelCounters).
-  [[nodiscard]] virtual KernelCounters counters() const noexcept = 0;
-
-  /// Implementation name: "heap" or "ladder".
-  [[nodiscard]] virtual const char* kind_name() const noexcept = 0;
-};
-
-/// Which PendingSet implementation a Simulator uses.
-enum class QueueKind { kLadder, kHeap };
-
-[[nodiscard]] const char* to_string(QueueKind kind) noexcept;
-
-/// Parse "ladder" / "heap"; throws std::invalid_argument otherwise.
-[[nodiscard]] QueueKind queue_kind_from_string(std::string_view text);
-
-[[nodiscard]] std::unique_ptr<PendingSet> make_pending_set(QueueKind kind);
 
 }  // namespace caem::sim

@@ -4,27 +4,25 @@
 // machines, traffic sources, the LEACH round manager...) schedule
 // callbacks; the engine fires them in timestamp order.  Single-threaded
 // by design: parallelism lives one level up, across independent runs
-// (core::ExperimentRunner), which is both simpler and faster for this
-// workload than intra-run parallelism.
+// (core::parallel_runs_ordered and the scenario engine's drains), which
+// is both simpler and faster for this workload than intra-run
+// parallelism.
 //
-// The pending set is pluggable (`sim.queue_kind`): the bucketed
-// LadderQueue by default, the binary-heap EventQueue as the A/B
-// fallback.  Both drain in identical (time, sequence) order, so the
-// choice can never change a result — see pending_set.hpp.
+// The pending set is a LadderQueue held by value (sim/pending_set.hpp),
+// so every schedule and pop is a direct call.
 #pragma once
 
 #include <cstdint>
 #include <limits>
-#include <memory>
 
+#include "sim/ladder_queue.hpp"
 #include "sim/pending_set.hpp"
 
 namespace caem::sim {
 
 class Simulator {
  public:
-  explicit Simulator(QueueKind queue_kind = QueueKind::kLadder)
-      : queue_(make_pending_set(queue_kind)) {}
+  Simulator() = default;
 
   // Non-copyable: entities capture `this` in callbacks.
   Simulator(const Simulator&) = delete;
@@ -39,8 +37,8 @@ class Simulator {
   /// Schedule after a non-negative delay from now.
   EventId schedule_in(double delay_s, EventCallback callback);
 
-  /// Cancel a pending event (see PendingSet::cancel).
-  bool cancel(EventId id) noexcept { return queue_->cancel(id); }
+  /// Cancel a pending event (O(1); false when it already fired).
+  bool cancel(EventId id) noexcept { return queue_.cancel(id); }
 
   /// Run until the queue drains or the clock passes `until_s`.
   /// Events scheduled exactly at `until_s` still fire.  Returns the
@@ -54,16 +52,15 @@ class Simulator {
   void stop() noexcept { stop_requested_ = true; }
   [[nodiscard]] bool stop_requested() const noexcept { return stop_requested_; }
 
-  [[nodiscard]] bool idle() const noexcept { return queue_->empty(); }
-  [[nodiscard]] std::size_t pending_events() const noexcept { return queue_->size(); }
+  [[nodiscard]] bool idle() const noexcept { return queue_.empty(); }
+  [[nodiscard]] std::size_t pending_events() const noexcept { return queue_.size(); }
   [[nodiscard]] std::uint64_t executed_events() const noexcept { return executed_; }
 
   /// Kernel op counts for this simulator's queue (diagnostics).
-  [[nodiscard]] KernelCounters kernel_counters() const noexcept { return queue_->counters(); }
-  [[nodiscard]] const char* queue_kind_name() const noexcept { return queue_->kind_name(); }
+  [[nodiscard]] KernelCounters kernel_counters() const noexcept { return queue_.counters(); }
 
  private:
-  std::unique_ptr<PendingSet> queue_;
+  LadderQueue queue_;
   double now_s_ = 0.0;
   std::uint64_t executed_ = 0;
   bool stop_requested_ = false;

@@ -5,9 +5,9 @@
 // POSIX the rename is atomic, so readers racing the write see either
 // the old complete file or the new complete file, never a torn one,
 // and a crash mid-write leaves at worst a stray .tmp — never a
-// half-written file under the final name.  This is the discipline both
-// the result cache and the shard completion markers rely on; keeping
-// it in one place keeps their crash-safety stories identical.
+// half-written file under the final name.  This is the discipline the
+// result cache, the claim files and the worker markers all rely on;
+// keeping it in one place keeps their crash-safety stories identical.
 #pragma once
 
 #include <string>

@@ -1,4 +1,4 @@
-// Tests for util::Config, util::Logger and util::atomic_write_file.
+// Tests for util::Config and util::atomic_write_file.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -10,7 +10,6 @@
 
 #include "util/atomic_file.hpp"
 #include "util/config.hpp"
-#include "util/logging.hpp"
 
 namespace caem::util {
 namespace {
@@ -149,26 +148,6 @@ TEST(Trim, Whitespace) {
   EXPECT_EQ(trim("  x y  "), "x y");
   EXPECT_EQ(trim("\t\n"), "");
   EXPECT_EQ(trim(""), "");
-}
-
-TEST(Logger, LevelGatingAndSink) {
-  Logger& logger = Logger::instance();
-  const LogLevel old_level = logger.level();
-  std::vector<std::string> captured;
-  logger.set_sink([&](LogLevel, const std::string& message) { captured.push_back(message); });
-  logger.set_level(LogLevel::kWarn);
-  CAEM_DEBUG("hidden " << 1);
-  CAEM_WARN("visible " << 2);
-  CAEM_ERROR("also " << 3);
-  EXPECT_EQ(captured.size(), 2u);
-  EXPECT_EQ(captured[0], "visible 2");
-  logger.set_sink(nullptr);  // restore default
-  logger.set_level(old_level);
-}
-
-TEST(Logger, ToStringNames) {
-  EXPECT_STREQ(to_string(LogLevel::kTrace), "TRACE");
-  EXPECT_STREQ(to_string(LogLevel::kError), "ERROR");
 }
 
 TEST(AtomicFile, WritesABareFileNameInTheWorkingDirectory) {

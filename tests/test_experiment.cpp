@@ -1,14 +1,23 @@
-// Tests for the parallel experiment runner.
+// Tests for the parallel experiment runner and the replication fold.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <numeric>
 #include <thread>
+#include <vector>
 
 #include "core/experiment.hpp"
 
 namespace caem::core {
 namespace {
+
+/// 0, 1, ..., n-1: the identity drain order.
+std::vector<std::size_t> identity(std::size_t n) {
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  return order;
+}
 
 NetworkConfig tiny_config() {
   NetworkConfig config;
@@ -22,8 +31,8 @@ NetworkConfig tiny_config() {
 
 TEST(ParallelRuns, PreservesIndexOrder) {
   std::atomic<int> executed{0};
-  const auto results = parallel_runs(
-      8,
+  const auto results = parallel_runs_ordered(
+      8, identity(8),
       [&](std::size_t i) {
         ++executed;
         RunResult result;
@@ -36,13 +45,13 @@ TEST(ParallelRuns, PreservesIndexOrder) {
 }
 
 TEST(ParallelRuns, EmptyAndErrors) {
-  EXPECT_TRUE(parallel_runs(0, [](std::size_t) { return RunResult{}; }).empty());
-  EXPECT_THROW(parallel_runs(1, nullptr), std::invalid_argument);
-  EXPECT_THROW(parallel_runs(
-                   4, [](std::size_t i) -> RunResult {
-                     if (i == 2) throw std::runtime_error("boom");
-                     return RunResult{};
-                   }),
+  EXPECT_TRUE(parallel_runs_ordered(0, {}, [](std::size_t) { return RunResult{}; }).empty());
+  EXPECT_THROW(parallel_runs_ordered(1, identity(1), nullptr), std::invalid_argument);
+  EXPECT_THROW(parallel_runs_ordered(4, identity(4),
+                                     [](std::size_t i) -> RunResult {
+                                       if (i == 2) throw std::runtime_error("boom");
+                                       return RunResult{};
+                                     }),
                std::runtime_error);
 }
 
@@ -89,8 +98,8 @@ TEST(ParallelRuns, MatchesSequentialSimulation) {
   options.max_sim_s = 10.0;
   const NetworkConfig config = tiny_config();
   const RunResult sequential = SimulationRunner::run(config, protocol_from_string("scheme1"), 5, options);
-  const auto parallel = parallel_runs(
-      3,
+  const auto parallel = parallel_runs_ordered(
+      3, identity(3),
       [&](std::size_t i) {
         return SimulationRunner::run(config, protocol_from_string("scheme1"), 5 + i, options);
       },
@@ -144,12 +153,13 @@ TEST(ParallelRuns, FlattenedQueueOutpacesPerPointBarriers) {
   };
   const auto tick = [] { return std::chrono::steady_clock::now(); };
   const auto t0 = tick();
-  (void)parallel_runs(kCells * kReps, sleepy, kThreads);
+  (void)parallel_runs_ordered(kCells * kReps, identity(kCells * kReps), sleepy, kThreads);
   const double flat_s = std::chrono::duration<double>(tick() - t0).count();
   const auto t1 = tick();
   for (std::size_t cell = 0; cell < kCells; ++cell) {
-    (void)parallel_runs(kReps, [&](std::size_t rep) { return sleepy(cell * kReps + rep); },
-                        kThreads);
+    (void)parallel_runs_ordered(
+        kReps, identity(kReps), [&](std::size_t rep) { return sleepy(cell * kReps + rep); },
+        kThreads);
   }
   const double barrier_s = std::chrono::duration<double>(tick() - t1).count();
   // Flat bound ~= sum(job)/threads (~40 ms); barrier bound = sum of
@@ -159,10 +169,17 @@ TEST(ParallelRuns, FlattenedQueueOutpacesPerPointBarriers) {
 }
 
 TEST(RunReplicated, FoldsScalars) {
+  // Replication = seeds base, base+1, ... of one (config, protocol)
+  // cell, run in parallel and folded.
   RunOptions options;
   options.max_sim_s = 10.0;
-  const Replicated summary =
-      run_replicated(tiny_config(), protocol_from_string("leach"), 100, 3, options, 3);
+  const Replicated summary = fold_runs(parallel_runs_ordered(
+      3, identity(3),
+      [&](std::size_t i) {
+        return SimulationRunner::run(tiny_config(), protocol_from_string("leach"), 100 + i,
+                                     options);
+      },
+      3));
   EXPECT_EQ(summary.runs.size(), 3u);
   EXPECT_EQ(summary.delivery_rate.count(), 3u);
   EXPECT_GT(summary.total_consumed_j.mean(), 0.0);

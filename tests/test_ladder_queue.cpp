@@ -1,17 +1,14 @@
-// Tests for the LadderQueue: the PendingSet contract run against both
-// implementations, rung-spill FIFO ordering, generation safety across
-// cancel/clear/reuse, far-future timestamps, the GenTable, the
-// sim.queue_kind digest-neutrality contract, and a randomized
-// heap-vs-ladder equivalence oracle.
+// Tests for the LadderQueue: the pending-set contract run against both
+// classes, rung-spill FIFO ordering, generation safety across
+// cancel/clear/reuse, far-future timestamps, the GenTable, and a
+// randomized equivalence oracle against the heap EventQueue.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
-#include <memory>
 #include <utility>
 #include <vector>
 
-#include "core/config.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/ladder_queue.hpp"
 #include "sim/pending_set.hpp"
@@ -22,125 +19,144 @@ namespace caem::sim {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Contract tests run against both implementations.
+// Contract tests run against both classes (sim/pending_set.hpp).  There
+// is no interface between them: the parameter picks a class, and each
+// body is a generic lambda instantiated for both concrete types.
 
-class PendingSetContract : public ::testing::TestWithParam<QueueKind> {
+enum class Impl { kLadder, kHeap };
+
+class PendingSetContract : public ::testing::TestWithParam<Impl> {
  protected:
-  std::unique_ptr<PendingSet> make() const { return make_pending_set(GetParam()); }
+  template <class Body>
+  void with_queue(Body body) const {
+    if (GetParam() == Impl::kHeap) {
+      EventQueue queue;
+      body(queue);
+    } else {
+      LadderQueue queue;
+      body(queue);
+    }
+  }
 };
 
 INSTANTIATE_TEST_SUITE_P(BothKinds, PendingSetContract,
-                         ::testing::Values(QueueKind::kLadder, QueueKind::kHeap),
-                         [](const ::testing::TestParamInfo<QueueKind>& info) {
-                           return std::string(to_string(info.param));
+                         ::testing::Values(Impl::kLadder, Impl::kHeap),
+                         [](const ::testing::TestParamInfo<Impl>& info) {
+                           return std::string(info.param == Impl::kHeap ? "heap" : "ladder");
                          });
 
 TEST_P(PendingSetContract, PopsInTimeOrderAcrossEpochSpreads) {
-  auto queue = make();
-  // Enough spread-out events to force the ladder through several rung
-  // spreads and bucket drains; a deterministic-but-scrambled insert
-  // order exercises out-of-order arrival.
-  util::Rng rng(7, "ladder-order");
-  std::vector<double> times;
-  for (int i = 0; i < 20'000; ++i) times.push_back(rng.uniform() * 1e4);
-  for (const double t : times) queue->schedule(t, [](double) {});
-  double prev = -1.0;
-  std::size_t popped = 0;
-  while (!queue->empty()) {
-    const Fired fired = queue->pop();
-    EXPECT_GE(fired.time_s, prev);
-    prev = fired.time_s;
-    ++popped;
-  }
-  EXPECT_EQ(popped, times.size());
+  with_queue([&](auto& queue) {
+    // Enough spread-out events to force the ladder through several rung
+    // spreads and bucket drains; a deterministic-but-scrambled insert
+    // order exercises out-of-order arrival.
+    util::Rng rng(7, "ladder-order");
+    std::vector<double> times;
+    for (int i = 0; i < 20'000; ++i) times.push_back(rng.uniform() * 1e4);
+    for (const double t : times) queue.schedule(t, [](double) {});
+    double prev = -1.0;
+    std::size_t popped = 0;
+    while (!queue.empty()) {
+      const Fired fired = queue.pop();
+      EXPECT_GE(fired.time_s, prev);
+      prev = fired.time_s;
+      ++popped;
+    }
+    EXPECT_EQ(popped, times.size());
+  });
 }
 
 TEST_P(PendingSetContract, InterleavedIdenticalTimeFifoAcrossSpills) {
-  auto queue = make();
-  // Equal-time groups big enough to cross the ladder's bottom-spill and
-  // sort-fallback paths, interleaved with unique times.  Each group
-  // must drain in exact scheduling order no matter how the structure
-  // split the surrounding region.
-  constexpr int kGroups = 5;
-  constexpr int kPerGroup = 3'000;  // kGroups * kPerGroup > kBottomSpill
-  std::vector<std::vector<int>> fired(kGroups);
-  for (int round = 0; round < kPerGroup; ++round) {
-    for (int g = 0; g < kGroups; ++g) {
-      const double t = 10.0 * (g + 1);
-      queue->schedule(t, [&fired, g, round](double) { fired[g].push_back(round); });
-      queue->schedule(t + 5.0 + round * 1e-7, [](double) {});  // unique-time filler
+  with_queue([&](auto& queue) {
+    // Equal-time groups big enough to cross the ladder's bottom-spill and
+    // sort-fallback paths, interleaved with unique times.  Each group
+    // must drain in exact scheduling order no matter how the structure
+    // split the surrounding region.
+    constexpr int kGroups = 5;
+    constexpr int kPerGroup = 3'000;  // kGroups * kPerGroup > kBottomSpill
+    std::vector<std::vector<int>> fired(kGroups);
+    for (int round = 0; round < kPerGroup; ++round) {
+      for (int g = 0; g < kGroups; ++g) {
+        const double t = 10.0 * (g + 1);
+        queue.schedule(t, [&fired, g, round](double) { fired[g].push_back(round); });
+        queue.schedule(t + 5.0 + round * 1e-7, [](double) {});  // unique-time filler
+      }
     }
-  }
-  while (!queue->empty()) {
-    Fired f = queue->pop();
-    f.callback(f.time_s);
-  }
-  for (int g = 0; g < kGroups; ++g) {
-    ASSERT_EQ(fired[g].size(), static_cast<std::size_t>(kPerGroup));
-    for (int i = 0; i < kPerGroup; ++i) EXPECT_EQ(fired[g][static_cast<std::size_t>(i)], i);
-  }
+    while (!queue.empty()) {
+      Fired f = queue.pop();
+      f.callback(f.time_s);
+    }
+    for (int g = 0; g < kGroups; ++g) {
+      ASSERT_EQ(fired[g].size(), static_cast<std::size_t>(kPerGroup));
+      for (int i = 0; i < kPerGroup; ++i) EXPECT_EQ(fired[g][static_cast<std::size_t>(i)], i);
+    }
+  });
 }
 
 TEST_P(PendingSetContract, CancelThenClearThenReuseGenerationSafety) {
-  auto queue = make();
-  std::vector<EventId> first;
-  for (int i = 0; i < 500; ++i) first.push_back(queue->schedule(1.0 + i, [](double) {}));
-  for (int i = 0; i < 500; i += 2) EXPECT_TRUE(queue->cancel(first[static_cast<std::size_t>(i)]));
-  queue->clear();
-  EXPECT_TRUE(queue->empty());
-  // Every pre-clear id is stale forever, cancelled or not.
-  for (const EventId id : first) EXPECT_FALSE(queue->cancel(id));
-  // The structure is immediately reusable, and recycled slots never
-  // resurrect an old id.
-  std::vector<EventId> second;
-  for (int i = 0; i < 500; ++i) second.push_back(queue->schedule(2.0 + i, [](double) {}));
-  for (const EventId id : first) EXPECT_FALSE(queue->cancel(id));
-  EXPECT_EQ(queue->size(), 500u);
-  std::size_t popped = 0;
-  while (!queue->empty()) {
-    queue->pop();
-    ++popped;
-  }
-  EXPECT_EQ(popped, 500u);
-  for (const EventId id : second) EXPECT_FALSE(queue->cancel(id));
+  with_queue([&](auto& queue) {
+    std::vector<EventId> first;
+    for (int i = 0; i < 500; ++i) first.push_back(queue.schedule(1.0 + i, [](double) {}));
+    for (int i = 0; i < 500; i += 2) EXPECT_TRUE(queue.cancel(first[static_cast<std::size_t>(i)]));
+    queue.clear();
+    EXPECT_TRUE(queue.empty());
+    // Every pre-clear id is stale forever, cancelled or not.
+    for (const EventId id : first) EXPECT_FALSE(queue.cancel(id));
+    // The structure is immediately reusable, and recycled slots never
+    // resurrect an old id.
+    std::vector<EventId> second;
+    for (int i = 0; i < 500; ++i) second.push_back(queue.schedule(2.0 + i, [](double) {}));
+    for (const EventId id : first) EXPECT_FALSE(queue.cancel(id));
+    EXPECT_EQ(queue.size(), 500u);
+    std::size_t popped = 0;
+    while (!queue.empty()) {
+      queue.pop();
+      ++popped;
+    }
+    EXPECT_EQ(popped, 500u);
+    for (const EventId id : second) EXPECT_FALSE(queue.cancel(id));
+  });
 }
 
 TEST_P(PendingSetContract, FarFutureEventsStayOrdered) {
-  auto queue = make();
-  const double inf = std::numeric_limits<double>::infinity();
-  std::vector<int> order;
-  queue->schedule(1e18, [&](double) { order.push_back(2); });
-  queue->schedule(inf, [&](double) { order.push_back(3); });
-  queue->schedule(5.0, [&](double) { order.push_back(1); });
-  queue->schedule(inf, [&](double) { order.push_back(4); });  // FIFO at +inf
-  EXPECT_EQ(queue->peek_time(), 5.0);
-  while (!queue->empty()) {
-    Fired f = queue->pop();
-    f.callback(f.time_s);
-  }
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+  with_queue([&](auto& queue) {
+    const double inf = std::numeric_limits<double>::infinity();
+    std::vector<int> order;
+    queue.schedule(1e18, [&](double) { order.push_back(2); });
+    queue.schedule(inf, [&](double) { order.push_back(3); });
+    queue.schedule(5.0, [&](double) { order.push_back(1); });
+    queue.schedule(inf, [&](double) { order.push_back(4); });  // FIFO at +inf
+    EXPECT_EQ(queue.peek_time(), 5.0);
+    while (!queue.empty()) {
+      Fired f = queue.pop();
+      f.callback(f.time_s);
+    }
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+  });
 }
 
 TEST_P(PendingSetContract, RejectsBadArguments) {
-  auto queue = make();
-  EXPECT_THROW(queue->schedule(std::nan(""), [](double) {}), std::invalid_argument);
-  EXPECT_THROW(queue->schedule(1.0, nullptr), std::invalid_argument);
-  EXPECT_THROW(queue->pop(), std::out_of_range);
-  EXPECT_THROW(queue->peek_time(), std::out_of_range);
-  EXPECT_FALSE(queue->cancel(kInvalidEventId));
+  with_queue([&](auto& queue) {
+    EXPECT_THROW(queue.schedule(std::nan(""), [](double) {}), std::invalid_argument);
+    EXPECT_THROW(queue.schedule(1.0, nullptr), std::invalid_argument);
+    EXPECT_THROW(queue.pop(), std::out_of_range);
+    EXPECT_THROW(queue.peek_time(), std::out_of_range);
+    EXPECT_FALSE(queue.cancel(kInvalidEventId));
+  });
 }
 
 TEST_P(PendingSetContract, CountersTrackLifecycle) {
-  auto queue = make();
-  const EventId a = queue->schedule(1.0, [](double) {});
-  queue->schedule(2.0, [](double) {});
-  queue->schedule(3.0, [](double) {});
-  EXPECT_TRUE(queue->cancel(a));
-  queue->pop();  // 2.0 (the 1.0 tombstone is skipped or pruned)
-  const KernelCounters counters = queue->counters();
-  EXPECT_EQ(counters.scheduled, 3u);
-  EXPECT_EQ(counters.fired, 1u);
-  EXPECT_EQ(counters.cancelled, 1u);
+  with_queue([&](auto& queue) {
+    const EventId a = queue.schedule(1.0, [](double) {});
+    queue.schedule(2.0, [](double) {});
+    queue.schedule(3.0, [](double) {});
+    EXPECT_TRUE(queue.cancel(a));
+    queue.pop();  // 2.0 (the 1.0 tombstone is skipped or pruned)
+    const KernelCounters counters = queue.counters();
+    EXPECT_EQ(counters.scheduled, 3u);
+    EXPECT_EQ(counters.fired, 1u);
+    EXPECT_EQ(counters.cancelled, 1u);
+  });
 }
 
 // Randomized equivalence oracle: both implementations consume one
@@ -280,34 +296,6 @@ TEST(GenTable, RejectsInvalidId) {
   EXPECT_FALSE(table.kill(kInvalidEventId));
   EXPECT_FALSE(table.live(kInvalidEventId));
   EXPECT_FALSE(table.kill(EventId{0xFFFF'FFFF'FFFF'FFFFull}));  // out-of-range slot
-}
-
-// ---------------------------------------------------------------------------
-// Config contract: sim.queue_kind selects the implementation but is an
-// execution detail — it must never reach canonical_text()/digest().
-
-TEST(QueueKindConfig, DigestNeutrality) {
-  core::NetworkConfig base;
-  core::NetworkConfig heap;
-  heap.sim_queue_kind = "heap";
-  core::NetworkConfig ladder;
-  ladder.sim_queue_kind = "ladder";
-  EXPECT_EQ(heap.canonical_text(), ladder.canonical_text());
-  EXPECT_EQ(heap.digest(), base.digest());
-  EXPECT_EQ(ladder.digest(), base.digest());
-}
-
-TEST(QueueKindConfig, ValidateRejectsUnknownKind) {
-  core::NetworkConfig config;
-  config.sim_queue_kind = "splay-tree";
-  EXPECT_THROW(config.validate(), std::invalid_argument);
-}
-
-TEST(QueueKindConfig, FactoryRoundTrip) {
-  EXPECT_EQ(make_pending_set(queue_kind_from_string("heap"))->kind_name(), std::string("heap"));
-  EXPECT_EQ(make_pending_set(queue_kind_from_string("ladder"))->kind_name(),
-            std::string("ladder"));
-  EXPECT_THROW(queue_kind_from_string("bogus"), std::invalid_argument);
 }
 
 }  // namespace

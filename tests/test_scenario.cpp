@@ -1,11 +1,13 @@
 // Tests for the scenario subsystem: axis parsing (incl. joint axes),
-// grid expansion, spec dispatch/rejection, the flattened sweep engine,
+// grid expansion, spec dispatch/rejection, the one-queue sweep engine,
 // the digest-keyed result cache and the trace artifact sink.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <numeric>
 #include <sstream>
+#include <vector>
 
 #include "scenario/engine.hpp"
 #include "scenario/result_cache.hpp"
@@ -164,6 +166,17 @@ TEST(Spec, RejectsUnknownKeysEverywhere) {
                std::invalid_argument);
 }
 
+TEST(Spec, RejectsRetiredQueueKindKnob) {
+  // The simulator has exactly one pending-event set, so there is no
+  // queue kind to choose: the key is unknown, in a file and as a CLI
+  // override.
+  EXPECT_THROW((void)ScenarioSpec::from_config(util::Config::from_text("sim.queue_kind = heap\n")),
+               std::invalid_argument);
+  ScenarioSpec spec;
+  EXPECT_THROW(spec.apply_cli_overrides(util::Config::from_args({"sim.queue_kind=ladder"})),
+               std::invalid_argument);
+}
+
 TEST(Spec, CliOverridesReplaceAxesAndFields) {
   ScenarioSpec spec = ScenarioSpec::from_config(
       util::Config::from_text("sweep.traffic_rate_pps = list:5,10,15\n"));
@@ -233,26 +246,27 @@ TEST(Engine, FoldsPerPointPerProtocol) {
 }
 
 TEST(Engine, FlattenedMatchesBarrierAndRunReplicated) {
-  ScenarioSpec spec = tiny_spec();
+  // The one flattened queue must fold exactly what a per-(point,
+  // protocol) barrier loop of replications — seeds base, base+1, ... —
+  // computes outside the engine.
+  const ScenarioSpec spec = tiny_spec();
   const ScenarioResult flat = run_scenario(spec);
-  spec.flatten = false;
-  const ScenarioResult barrier = run_scenario(spec);
-  // Direct replication of one cell, outside the engine.
-  const core::Replicated direct = core::run_replicated(
-      flat.points[1].config, core::protocol_from_string("scheme2"), spec.base_seed, spec.replications,
-      spec.options);
+  std::vector<std::size_t> reps(spec.replications);
+  std::iota(reps.begin(), reps.end(), std::size_t{0});
   for (std::size_t p = 0; p < flat.points.size(); ++p) {
-    for (std::size_t pr = 0; pr < flat.points[p].protocols.size(); ++pr) {
-      const core::Replicated& a = flat.points[p].protocols[pr].replicated;
-      const core::Replicated& b = barrier.points[p].protocols[pr].replicated;
-      EXPECT_DOUBLE_EQ(a.total_consumed_j.mean(), b.total_consumed_j.mean());
-      EXPECT_DOUBLE_EQ(a.lifetime_s.mean(), b.lifetime_s.mean());
-      EXPECT_DOUBLE_EQ(a.delivery_rate.mean(), b.delivery_rate.mean());
+    for (std::size_t pr = 0; pr < spec.protocols.size(); ++pr) {
+      const core::Replicated barrier = core::fold_runs(core::parallel_runs_ordered(
+          spec.replications, reps, [&](std::size_t rep) {
+            return core::SimulationRunner::run(flat.points[p].config, spec.protocols[pr],
+                                               spec.base_seed + rep, spec.options);
+          }));
+      const core::Replicated& engine = flat.points[p].protocols[pr].replicated;
+      EXPECT_DOUBLE_EQ(engine.total_consumed_j.mean(), barrier.total_consumed_j.mean());
+      EXPECT_DOUBLE_EQ(engine.lifetime_s.mean(), barrier.lifetime_s.mean());
+      EXPECT_DOUBLE_EQ(engine.delivery_rate.mean(), barrier.delivery_rate.mean());
+      EXPECT_EQ(engine.runs[0].generated, barrier.runs[0].generated);
     }
   }
-  const core::Replicated& engine_cell = flat.points[1].protocols[1].replicated;
-  EXPECT_DOUBLE_EQ(engine_cell.total_consumed_j.mean(), direct.total_consumed_j.mean());
-  EXPECT_EQ(engine_cell.runs[0].generated, direct.runs[0].generated);
 }
 
 TEST(Engine, SummaryTableExposesFoldExclusionContract) {
@@ -380,9 +394,9 @@ TEST(Cache, NoCacheFlagAndBarrierModeContracts) {
   EXPECT_EQ(result.executed_jobs, result.total_jobs);
   EXPECT_FALSE(fs::exists(spec.cache_dir));
 
-  spec.use_cache = true;
-  spec.flatten = false;
-  EXPECT_THROW((void)run_scenario(spec), std::invalid_argument);
+  // There is no barrier mode to select: the key is unknown like any typo.
+  EXPECT_THROW(spec.apply_cli_overrides(util::Config::from_args({"scenario.flatten=0"})),
+               std::invalid_argument);
 }
 
 // ----------------------------------------------------------------- trace

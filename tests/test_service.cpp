@@ -7,6 +7,7 @@
 // rely on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -58,7 +59,7 @@ HttpRequest make_request(std::string method, std::string target, std::string bod
 }
 
 /// Small but non-trivial sweep: 2 points x 2 protocols x 2 reps = 8
-/// cells, each a fraction of a second — the same shape the sharding
+/// cells, each a fraction of a second — the same shape the worker
 /// battery uses.
 constexpr const char* kScenarioText =
     "scenario.name = svc-bat\n"
@@ -118,6 +119,22 @@ TEST(HttpEndpoint, RoundTripsRequestsOverLoopback) {
 
   EXPECT_EQ(http_request(endpoint.port(), "GET", "/missing").status, 404);
   endpoint.stop();
+}
+
+TEST(HttpEndpoint, FinishedConnectionThreadsAreJoinedWhileServing) {
+  // A long-running daemon must not hold one thread (and its stack
+  // mapping) per request ever served: finished connections are joined
+  // as new ones arrive, so sequential traffic keeps the count bounded.
+  HttpEndpoint endpoint(0, [](const HttpRequest&) { return HttpResponse{}; });
+  constexpr int kRequests = 300;
+  std::size_t most_held = 0;
+  for (int i = 0; i < kRequests; ++i) {
+    ASSERT_EQ(http_request(endpoint.port(), "GET", "/ping").status, 200);
+    most_held = std::max(most_held, endpoint.held_connections());
+  }
+  EXPECT_LE(most_held, 8u) << "connection threads accumulate instead of being joined";
+  endpoint.stop();
+  EXPECT_EQ(endpoint.held_connections(), 0u);
 }
 
 // ------------------------------------------------------ sweep lifecycle
@@ -444,7 +461,6 @@ TEST(Engine, InterruptedWorkerReleasesClaimsAndWritesMarker) {
 
   scenario::ScenarioSpec merge = spec;
   merge.worker_mode = false;
-  merge.merge_shards = true;
   merge.progress_sink = nullptr;
   merge.cancel = nullptr;
   const scenario::ScenarioResult merged = scenario::run_scenario(merge);

@@ -1,10 +1,12 @@
-// Tests for dynamic work claiming (the work-stealing distributed
-// sweep): the ClaimBoard acquire/lease/steal/release protocol, the
-// longest-expected-first cost model, worker telemetry markers, the
-// worker-equivalence battery (N dynamic workers + merge == one
-// single-process run, byte for byte), crashed-worker recovery
-// (half-stored cells skipped, stale claims stolen exactly once), the
-// progress reporter, and the worker-mode validation surface.
+// Tests for dynamic work claiming (the claim drain every cached sweep
+// uses): the ClaimBoard acquire/lease/steal/release protocol, the
+// longest-expected-first cost model, the sweep digest, worker
+// telemetry markers, concurrent-writer atomicity of the cache, the
+// worker-equivalence batteries (N dynamic workers + merge == one
+// single-process run, byte for byte), crash recovery (half-stored
+// cells skipped, stale claims stolen exactly once), cancellation that
+// keeps finished cells, the stats contract, the progress reporter, and
+// the worker-mode validation surface.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -415,6 +417,84 @@ TEST(CostOrder, DescendingWithTiesTowardLowerId) {
   EXPECT_THROW((void)cost_order(jobs, nullptr), std::invalid_argument);
 }
 
+// --------------------------------------------------------- sweep digest
+
+TEST(SweepDigest, PinsContentCountAndOrder) {
+  const std::vector<std::string> keys = {"a/x.json", "b/y.json", "c/z.json"};
+  EXPECT_EQ(sweep_digest(keys), sweep_digest(keys));
+  EXPECT_EQ(sweep_digest(keys).size(), 16u);
+  std::vector<std::string> reordered = {"b/y.json", "a/x.json", "c/z.json"};
+  EXPECT_NE(sweep_digest(keys), sweep_digest(reordered));
+  std::vector<std::string> edited = keys;
+  edited[2] = "c/w.json";
+  EXPECT_NE(sweep_digest(keys), sweep_digest(edited));
+  std::vector<std::string> shorter(keys.begin(), keys.end() - 1);
+  EXPECT_NE(sweep_digest(keys), sweep_digest(shorter));
+}
+
+// ------------------------------------------------- concurrent cache writers
+
+TEST(ShardCache, ConcurrentStoresOnOneCellNeverTearReads) {
+  // Two processes that both execute a cell (a steal at the lease
+  // margin) store it concurrently; readers must only ever see one
+  // complete entry or the other.
+  const fs::path dir = scratch_dir("concurrent_store");
+  const ResultCache cache(dir.string());
+  core::NetworkConfig config;
+  core::RunOptions options;
+  core::RunResult a;
+  a.protocol = core::protocol_from_string("scheme2");
+  a.seed = 1;
+  a.total_consumed_j = 111.5;
+  a.avg_remaining_energy.add(0.0, 10.0);
+  core::RunResult b = a;
+  b.total_consumed_j = 222.25;
+  const std::string path =
+      cache.entry_path(config, core::protocol_from_string("scheme2"), 1, options);
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> torn{0};
+  std::atomic<int> observed{0};
+  std::thread reader([&] {
+    bool seen = false;
+    while (!stop.load()) {
+      const std::optional<core::RunResult> loaded = cache.load(path);
+      if (loaded.has_value()) {
+        seen = true;
+        ++observed;
+        if (loaded->total_consumed_j != 111.5 && loaded->total_consumed_j != 222.25) ++torn;
+      } else if (seen) {
+        ++torn;  // entry vanished or tore after the first complete write
+      }
+    }
+  });
+  std::thread writer_a([&] {
+    for (int i = 0; i < 200; ++i) cache.store(path, a);
+  });
+  std::thread writer_b([&] {
+    for (int i = 0; i < 200; ++i) cache.store(path, b);
+  });
+  writer_a.join();
+  writer_b.join();
+  stop.store(true);
+  reader.join();
+
+  EXPECT_EQ(torn.load(), 0);
+  EXPECT_GT(observed.load(), 0);
+  // Whoever renamed last wins; either way the entry is one valid run.
+  const std::optional<core::RunResult> final_entry = cache.load(path);
+  ASSERT_TRUE(final_entry.has_value());
+  EXPECT_TRUE(final_entry->total_consumed_j == 111.5 ||
+              final_entry->total_consumed_j == 222.25);
+  // No temp litter: every write was finalised or cleaned up.
+  std::size_t temps = 0;
+  for (const auto& entry : fs::recursive_directory_iterator(dir)) {
+    if (entry.path().filename().string().find(".tmp.") != std::string::npos) ++temps;
+  }
+  EXPECT_EQ(temps, 0u);
+  fs::remove_all(dir);
+}
+
 // ------------------------------------------------------- worker markers
 
 TEST(Manifest, WorkerMarkerRoundTripAndDisjointCensus) {
@@ -433,14 +513,12 @@ TEST(Manifest, WorkerMarkerRoundTripAndDisjointCensus) {
   marker.stored = {2, 5, 6};
   manifest.write_worker_done(marker);
 
-  // A shard marker beside it: the two censuses never mix (the shard_
-  // filename prefix keeps them disjoint).
-  ShardMarker shard;
-  shard.shard = 1;
-  shard.of = 2;
-  shard.total_jobs = 8;
-  shard.stored = {0};
-  manifest.write_done(shard);
+  // Other files in the sweep dir — claims, anything not named
+  // worker_*.done — never enter the census.
+  fs::create_directories(fs::path(manifest.dir()) / "claims");
+  std::ofstream(fs::path(manifest.dir()) / "claims" / "job_0.claim", std::ios::trunc)
+      << "v = 1\nsweep = " << kSweep << "\njob = 0\ntoken = t\n";
+  std::ofstream(fs::path(manifest.dir()) / "notes.done", std::ios::trunc) << "v = 1\n";
 
   const auto workers = manifest.collect_workers();
   ASSERT_EQ(workers.size(), 1u);
@@ -452,8 +530,6 @@ TEST(Manifest, WorkerMarkerRoundTripAndDisjointCensus) {
   EXPECT_EQ(workers[0].stolen, 1u);
   EXPECT_EQ(workers[0].wall_ms, 1234.5);
   EXPECT_EQ(workers[0].stored, (std::vector<std::size_t>{2, 5, 6}));
-  ASSERT_EQ(manifest.collect().size(), 1u);
-  EXPECT_EQ(manifest.collect()[0].shard, 1u);
 
   // The ':' characters never reach the filesystem name.
   EXPECT_EQ(manifest.worker_marker_path(marker.token).find(':'), std::string::npos);
@@ -541,38 +617,53 @@ Artifacts render_to(const ScenarioResult& result, ScenarioSpec spec, const fs::p
   return artifacts;
 }
 
-// ----------------------------------------------- equivalence battery
-
-TEST(Worker, ConcurrentWorkersPlusMergeMatchSingleProcessByteForByte) {
-  const ScenarioSpec spec = battery_spec();
-
-  // Reference: one uncached single-process run — dynamic claiming must
-  // reproduce pure in-memory compute exactly.
-  const fs::path ref_dir = scratch_dir("worker_ref");
-  const ScenarioResult reference = run_scenario(spec);
-  const Artifacts ref = render_to(reference, spec, ref_dir);
-
-  const fs::path cache_dir = scratch_dir("worker_cache");
-  constexpr std::size_t kWorkers = 3;
-  std::vector<ScenarioResult> results(kWorkers);
-  std::vector<std::thread> workers;
-  for (std::size_t i = 0; i < kWorkers; ++i) {
-    workers.emplace_back([&, i] {
-      ScenarioSpec worker = spec;
-      worker.cache_dir = cache_dir.string();
-      worker.worker_mode = true;
-      results[i] = run_scenario(worker);
-    });
+/// Jobs of `paths` the cache does not hold yet.
+std::vector<std::size_t> miss_list(const std::vector<std::string>& paths,
+                                   const ResultCache& cache) {
+  std::vector<std::size_t> misses;
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    if (!cache.load(paths[i]).has_value()) misses.push_back(i);
   }
-  for (std::thread& t : workers) t.join();
+  return misses;
+}
 
-  std::set<std::size_t> stored_union;
+/// Fill `cache_dir` with the traffic=3 point of the battery: its cells
+/// digest identically to the battery sweep's jobs 0..3.
+void prewarm(const ScenarioSpec& spec, const fs::path& cache_dir) {
+  ScenarioSpec warm = spec;
+  warm.axes = {Axis{"traffic_rate_pps", {"3"}}};
+  warm.cache_dir = cache_dir.string();
+  (void)run_scenario(warm);
+}
+
+/// The stale claim a worker killed while holding `job` leaves behind.
+void write_ghost_claim(const fs::path& cache_dir, const std::string& digest, std::size_t job) {
+  const fs::path claims = cache_dir / "sweeps" / digest / "claims";
+  fs::create_directories(claims);
+  std::ofstream(claims / ("job_" + std::to_string(job) + ".claim"), std::ios::trunc)
+      << "v = 1\nsweep = " << digest << "\njob = " << job
+      << "\ntoken = ghost:1:0-dead\nhost = ghost\npid = 1\nepoch_ms = 1000\nlease_s = 0.01\n";
+}
+
+/// Drain `spec` with `count` concurrent workers on `cache_dir`, check
+/// each worker's stats and telemetry marker, and return the cells they
+/// executed — every one by exactly one worker.
+std::set<std::size_t> drain_with_workers(ScenarioSpec spec, const fs::path& cache_dir,
+                                         std::size_t count) {
+  spec.cache_dir = cache_dir.string();
+  spec.worker_mode = true;
+  std::vector<ScenarioResult> results(count);
+  {
+    std::vector<std::thread> workers;
+    for (std::size_t i = 0; i < count; ++i) {
+      workers.emplace_back([&, i] { results[i] = run_scenario(spec); });
+    }
+    for (std::thread& t : workers) t.join();
+  }
+  std::set<std::size_t> executed;
   std::set<std::string> tokens;
-  std::size_t executed_total = 0;
   for (const ScenarioResult& result : results) {
-    EXPECT_TRUE(result.worker_mode);
     EXPECT_TRUE(result.points.empty());  // partial run: the merge folds
-    EXPECT_FALSE(result.worker_token.empty());
     EXPECT_TRUE(tokens.insert(result.worker_token).second);
     // A worker that ran to completion observed every cell: the ones it
     // executed plus the ones it found stored (at scan time or by losing
@@ -581,73 +672,107 @@ TEST(Worker, ConcurrentWorkersPlusMergeMatchSingleProcessByteForByte) {
     EXPECT_EQ(result.cache_misses, result.executed_jobs);
     EXPECT_EQ(result.claims_stolen, 0u);  // nobody crashed: no steals
     EXPECT_TRUE(fs::exists(result.marker_path));
-    executed_total += result.executed_jobs;
-    const auto markers = ShardManifest(cache_dir.string(), result.sweep_digest).collect_workers();
+    const auto markers = ShardManifest(spec.cache_dir, result.sweep_digest).collect_workers();
     const auto mine = std::find_if(markers.begin(), markers.end(), [&](const WorkerMarker& m) {
       return m.token == result.worker_token;
     });
-    ASSERT_NE(mine, markers.end());
+    if (mine == markers.end()) {
+      ADD_FAILURE() << "no marker for " << result.worker_token;
+      continue;
+    }
     EXPECT_EQ(mine->stored.size(), result.executed_jobs);
     EXPECT_EQ(mine->cache_hits, result.cache_hits);
     for (const std::size_t job : mine->stored) {
-      EXPECT_TRUE(stored_union.insert(job).second) << "job " << job << " executed twice";
+      EXPECT_TRUE(executed.insert(job).second) << "job " << job << " executed twice";
     }
   }
-  // Claims partition the queue: every cell executed exactly once, by
-  // somebody.
-  EXPECT_EQ(executed_total, spec.total_jobs());
-  EXPECT_EQ(stored_union.size(), spec.total_jobs());
+  return executed;
+}
+
+/// Fold `spec` from `cache_dir` as `caem merge` does: nothing executes,
+/// every cell is a hit, and the artifacts match `ref` byte for byte.
+void expect_merge_matches(const ScenarioSpec& spec, const fs::path& cache_dir,
+                          const Artifacts& ref, const std::string& tag) {
+  ScenarioSpec merge = spec;
+  merge.cache_dir = cache_dir.string();
+  const ScenarioResult merged = run_scenario(merge);
+  EXPECT_EQ(merged.executed_jobs, 0u) << tag;
+  EXPECT_EQ(merged.cache_hits, spec.total_jobs()) << tag;
+  const fs::path dir = scratch_dir("merged_" + tag);
+  const Artifacts out = render_to(merged, spec, dir);
+  EXPECT_EQ(out.csv, ref.csv) << tag;
+  EXPECT_EQ(out.json, ref.json) << tag;
+  EXPECT_EQ(out.traces, ref.traces) << tag;
+  fs::remove_all(dir);
+}
+
+// ----------------------------------------------- equivalence battery
+
+TEST(Worker, ConcurrentWorkersPlusMergeMatchSingleProcessByteForByte) {
+  // Reference: one uncached single-process run — dynamic claiming must
+  // reproduce pure in-memory compute exactly.
+  const ScenarioSpec spec = battery_spec();
+  const fs::path ref_dir = scratch_dir("worker_ref");
+  const Artifacts ref = render_to(run_scenario(spec), spec, ref_dir);
+
+  const fs::path cache_dir = scratch_dir("worker_cache");
+  constexpr std::size_t kWorkers = 3;
+  // Claims partition the queue: every cell executed exactly once.
+  EXPECT_EQ(drain_with_workers(spec, cache_dir, kWorkers).size(), spec.total_jobs());
 
   // Merge: pure cache hits, straggler census present, artifacts
   // byte-identical to the uncached reference.
-  ScenarioSpec merge = spec;
-  merge.cache_dir = cache_dir.string();
-  merge.merge_shards = true;
-  const ScenarioResult merged = run_scenario(merge);
-  EXPECT_EQ(merged.executed_jobs, 0u);
-  EXPECT_EQ(merged.cache_hits, spec.total_jobs());
-  ASSERT_EQ(merged.workers.size(), kWorkers);
-  const fs::path merged_dir = scratch_dir("worker_merged");
-  const Artifacts out = render_to(merged, spec, merged_dir);
-  EXPECT_EQ(out.csv, ref.csv);
-  EXPECT_EQ(out.json, ref.json);
-  EXPECT_EQ(out.traces, ref.traces);
+  expect_merge_matches(spec, cache_dir, ref, "worker");
+  const ResultCache cache(cache_dir.string());
+  EXPECT_EQ(ShardManifest(cache_dir.string(), digest_of(spec, cache)).collect_workers().size(),
+            kWorkers);
   fs::remove_all(ref_dir);
   fs::remove_all(cache_dir);
-  fs::remove_all(merged_dir);
+}
+
+TEST(Shard, EquivalenceBatteryAcrossShardCounts) {
+  // N dynamic workers + merge == one uncached process, for N in
+  // {1, 2, 3, 7}, starting from a cache that already holds jobs 0..3.
+  const ScenarioSpec spec = battery_spec();
+  const fs::path ref_dir = scratch_dir("bat_ref");
+  const Artifacts ref = render_to(run_scenario(spec), spec, ref_dir);
+  ASSERT_EQ(ref.traces.size(), 4u);  // 2 points x 2 protocols
+
+  for (const std::size_t n : {1u, 2u, 3u, 7u}) {
+    const std::string tag = "n" + std::to_string(n);
+    const fs::path cache_dir = scratch_dir("bat_cache_" + tag);
+    prewarm(spec, cache_dir);
+    const ResultCache cache(cache_dir.string());
+    const std::vector<std::size_t> misses = miss_list(job_paths(spec, cache), cache);
+    ASSERT_EQ(misses, (std::vector<std::size_t>{4, 5, 6, 7})) << tag;
+    // The workers executed exactly the misses: prior hits never re-run.
+    const std::set<std::size_t> executed = drain_with_workers(spec, cache_dir, n);
+    EXPECT_EQ(std::vector<std::size_t>(executed.begin(), executed.end()), misses) << tag;
+    expect_merge_matches(spec, cache_dir, ref, tag);
+    fs::remove_all(cache_dir);
+  }
+  fs::remove_all(ref_dir);
 }
 
 // ------------------------------------------------ crashed-worker recovery
 
 TEST(Worker, HalfStoredCellsAreSkippedAndStaleClaimsStolenExactlyOnce) {
-  // Simulate a worker that died mid-drain: jobs 0..3 durably stored
-  // (the traffic=3 point pre-warms them), a stale claim left on a
-  // STORED cell (job 1: killed between store and release) and on an
-  // UNSTORED cell (job 5: killed mid-execute).  A fresh worker must
-  // treat job 1 as done — completion comes from the cache, never from
-  // claims — and steal job 5's corpse exactly once.
+  // Simulate a worker that died mid-drain: jobs 0..3 durably stored, a
+  // stale claim left on a STORED cell (job 1: killed between store and
+  // release) and on an UNSTORED cell (job 5: killed mid-execute).  A
+  // fresh worker must treat job 1 as done — completion comes from the
+  // cache, never from claims — and steal job 5's corpse exactly once.
   const ScenarioSpec spec = battery_spec();
   const fs::path cache_dir = scratch_dir("worker_crash");
-  {
-    ScenarioSpec prewarm = spec;
-    prewarm.axes = {Axis{"traffic_rate_pps", {"3"}}};
-    prewarm.cache_dir = cache_dir.string();
-    (void)run_scenario(prewarm);
-  }
+  prewarm(spec, cache_dir);
   const ResultCache cache(cache_dir.string());
   const std::vector<std::string> paths = job_paths(spec, cache);
   ASSERT_TRUE(cache.load(paths[1]).has_value());
   ASSERT_FALSE(cache.load(paths[5]).has_value());
   const std::string half_stored_bytes = read_file(paths[1]);
-
   const std::string digest = digest_of(spec, cache);
-  const fs::path claims = fs::path(cache_dir) / "sweeps" / digest / "claims";
-  fs::create_directories(claims);
-  for (const std::size_t job : {std::size_t{1}, std::size_t{5}}) {
-    std::ofstream(claims / ("job_" + std::to_string(job) + ".claim"), std::ios::trunc)
-        << "v = 1\nsweep = " << digest << "\njob = " << job
-        << "\ntoken = ghost:1:0-dead\nhost = ghost\npid = 1\nepoch_ms = 1000\nlease_s = 0.01\n";
-  }
+  write_ghost_claim(cache_dir, digest, 1);
+  write_ghost_claim(cache_dir, digest, 5);
 
   ScenarioSpec worker = spec;
   worker.cache_dir = cache_dir.string();
@@ -662,10 +787,104 @@ TEST(Worker, HalfStoredCellsAreSkippedAndStaleClaimsStolenExactlyOnce) {
   EXPECT_EQ(read_file(paths[1]), half_stored_bytes);
   // ...its stale claim was never even touched (the cache hit
   // short-circuits before any claim traffic)...
+  const fs::path claims = cache_dir / "sweeps" / digest / "claims";
   EXPECT_TRUE(fs::exists(claims / "job_1.claim"));
   // ...while the stolen cell's claim was released after the store.
   EXPECT_FALSE(fs::exists(claims / "job_5.claim"));
-  for (const std::string& path : paths) EXPECT_TRUE(cache.load(path).has_value());
+  EXPECT_TRUE(miss_list(paths, cache).empty());
+  fs::remove_all(cache_dir);
+}
+
+TEST(Shard, CrashedShardRecoveryExecutesExactlyTheMissingCells) {
+  // What two killed workers leave behind: one stored jobs 0, 2, 4, 6;
+  // the other stored jobs 1 and 3 and died holding job 5.  The merge
+  // executes exactly the unstored cells (5 and 7) — the stored half is
+  // not re-run — stealing job 5's stale claim on the way, and folds
+  // byte-identically to a single-process run.
+  const ScenarioSpec spec = battery_spec();
+  const fs::path cache_dir = scratch_dir("crash_cache");
+  const ResultCache cache(cache_dir.string());
+  const std::vector<std::string> paths = job_paths(spec, cache);
+  const std::vector<GridPoint> grid = expand_grid(spec.axes);
+  for (const std::size_t job : {0u, 1u, 2u, 3u, 4u, 6u}) {
+    const JobCoords c = job_coords(spec, job);
+    cache.store(paths[job],
+                core::SimulationRunner::run(spec.config_at(grid[c.point]),
+                                            spec.protocols[c.protocol],
+                                            spec.base_seed + c.rep, spec.options));
+  }
+  write_ghost_claim(cache_dir, digest_of(spec, cache), 5);
+
+  ScenarioSpec merge = spec;
+  merge.cache_dir = cache_dir.string();
+  const ScenarioResult merged = run_scenario(merge);
+  EXPECT_EQ(merged.executed_jobs, 2u);
+  EXPECT_EQ(merged.cache_hits, 6u);
+  EXPECT_EQ(merged.claims_stolen, 1u);
+  // A second merge finds everything stored and executes nothing.
+  const fs::path ref_dir = scratch_dir("crash_ref");
+  expect_merge_matches(spec, cache_dir, render_to(run_scenario(spec), spec, ref_dir), "crash");
+  fs::remove_all(cache_dir);
+  fs::remove_all(ref_dir);
+}
+
+TEST(Shard, StatsCoherentPerShardAndMerged) {
+  ScenarioSpec spec = battery_spec();
+  spec.replications = 1;
+  spec.protocols = {core::protocol_from_string("scheme2")};  // 2 jobs total
+  const fs::path cache_dir = scratch_dir("stats_cache");
+  // Two workers one after the other (drain_with_workers checks each
+  // one's hits + executed == total): the first executes every cell,
+  // the second finds them all stored.
+  EXPECT_EQ(drain_with_workers(spec, cache_dir, 1).size(), spec.total_jobs());
+  EXPECT_TRUE(drain_with_workers(spec, cache_dir, 1).empty());
+
+  ScenarioSpec merge = spec;
+  merge.cache_dir = cache_dir.string();
+  const ScenarioResult merged = run_scenario(merge);
+  EXPECT_EQ(merged.cache_hits, spec.total_jobs());
+  EXPECT_EQ(merged.executed_jobs, 0u);
+  EXPECT_EQ(merged.cache_misses, 0u);
+  EXPECT_EQ(merged.cache_hits + merged.executed_jobs, merged.total_jobs);
+  fs::remove_all(cache_dir);
+}
+
+// ------------------------------------------- cancellation keeps its work
+
+TEST(Drain, CancelledCachedRunKeepsEveryFinishedCell) {
+  // A folding cached run cancelled mid-drain throws, but every cell it
+  // finished is already stored (and no claim is left behind): the
+  // re-run resumes from them instead of starting over.
+  ScenarioSpec spec = battery_spec();
+  const fs::path cache_dir = scratch_dir("cancel_keeps");
+  spec.cache_dir = cache_dir.string();
+  ProgressSink sink;
+  std::atomic<bool> cancel{false};
+  spec.progress_sink = &sink;
+  spec.cancel = &cancel;
+  std::thread canceller([&] {
+    while (sink.executed.load() == 0) std::this_thread::yield();
+    cancel.store(true);
+  });
+  EXPECT_THROW((void)run_scenario(spec), SweepCancelled);
+  canceller.join();
+
+  const ResultCache cache(cache_dir.string());
+  const std::vector<std::string> paths = job_paths(spec, cache);
+  const std::size_t stored = paths.size() - miss_list(paths, cache).size();
+  EXPECT_GE(stored, 1u);
+  EXPECT_EQ(stored, sink.executed.load());
+  std::size_t claims = 0;
+  for (const auto& entry : fs::recursive_directory_iterator(cache_dir)) {
+    if (entry.path().extension() == ".claim") ++claims;
+  }
+  EXPECT_EQ(claims, 0u);
+
+  spec.cancel = nullptr;
+  spec.progress_sink = nullptr;
+  const ScenarioResult resumed = run_scenario(spec);
+  EXPECT_EQ(resumed.cache_hits, stored);
+  EXPECT_EQ(resumed.executed_jobs, spec.total_jobs() - stored);
   fs::remove_all(cache_dir);
 }
 
@@ -778,20 +997,13 @@ TEST(Worker, ValidationSurface) {
     spec.worker_mode = true;
     EXPECT_THROW((void)run_scenario(spec), std::invalid_argument);
   }
-  {  // static partition and dynamic claiming are mutually exclusive
+  {  // --no-cache disables the substrate too, and creates nothing
     ScenarioSpec spec = battery_spec();
-    spec.cache_dir = scratch_dir("worker_val_shard").string();
+    spec.cache_dir = (fs::temp_directory_path() / "caem_wq_never_created").string();
+    spec.use_cache = false;
     spec.worker_mode = true;
-    spec.shard_index = 1;
-    spec.shard_count = 2;
     EXPECT_THROW((void)run_scenario(spec), std::invalid_argument);
-  }
-  {  // a worker never folds; merging is the folder's job
-    ScenarioSpec spec = battery_spec();
-    spec.cache_dir = scratch_dir("worker_val_merge").string();
-    spec.worker_mode = true;
-    spec.merge_shards = true;
-    EXPECT_THROW((void)run_scenario(spec), std::invalid_argument);
+    EXPECT_FALSE(fs::exists(spec.cache_dir));
   }
   {  // a non-positive lease would make every claim instantly stale
     ScenarioSpec spec = battery_spec();
