@@ -3,11 +3,11 @@
 // the broadcaster's emitted duty cycles match the encoded patterns.
 #include <iostream>
 
-#include "bench_common.hpp"
 #include "energy/radio_energy_model.hpp"
 #include "sim/simulator.hpp"
 #include "tone/tone_broadcaster.hpp"
 #include "tone/tone_codec.hpp"
+#include "util/table_writer.hpp"
 
 int main(int argc, char** argv) {
   using namespace caem;
@@ -17,8 +17,8 @@ int main(int argc, char** argv) {
     std::cerr << "bench_table1_tone takes no overrides; got '" << argv[1] << "'\n";
     return 1;
   }
-  bench::print_header("Table I — tone channel states",
-                      "pulse duration / interval per data-channel state");
+  std::cout << "==== Table I — tone channel states ====\n"
+               "reproduces: pulse duration / interval per data-channel state\n\n";
 
   util::TableWriter table(
       {"state", "pulse ms", "period ms", "duty %", "measured duty %", "pulses in 10 s"});

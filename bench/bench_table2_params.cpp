@@ -8,10 +8,12 @@
 // overrides therefore share the full scenario namespace (any
 // NetworkConfig key; unknown keys are fatal).
 #include <iostream>
+#include <string>
 #include <vector>
 
-#include "bench_common.hpp"
 #include "phy/abicm.hpp"
+#include "scenario/scenario_spec.hpp"
+#include "util/table_writer.hpp"
 
 int main(int argc, char** argv) {
   using namespace caem;
@@ -25,8 +27,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   const core::NetworkConfig config = spec.config_at(scenario::expand_grid(spec.axes).at(0));
-  bench::print_header("Table II — physical simulation parameters",
-                      "parameter values used by every figure bench");
+  std::cout << "==== Table II — physical simulation parameters ====\n"
+               "reproduces: parameter values used by every figure scenario\n\n";
 
   util::TableWriter table({"parameter", "paper (Table II)", "this build"});
   const auto row = [&](const std::string& name, const std::string& paper,

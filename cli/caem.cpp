@@ -109,16 +109,18 @@ int usage(std::ostream& out, int exit_code) {
          "  caem merge <scenario.scn> --cache-dir=<dir> [flags] [key=value ...]\n"
          "                      complete a worker sweep: run any cell the cache still\n"
          "                      misses, fold from the cache, print the worker census\n"
-         "  caem expand <scenario.scn> [key=value ...]       show grid points without running\n"
+         "  caem expand <scenario.scn> [key=value ...]       show grid points (and each one's\n"
+         "                      cache directory) without running\n"
          "  caem protocols      list registered protocols (scenario.protocols accepts any\n"
          "                      name or alias shown there)\n"
          "  caem serve serve.store_dir=<dir> [serve.port=0] [serve.store_budget_bytes=N]\n"
          "             [serve.workers=K] [serve.lease_s=S] [serve.janitor_interval_s=S]\n"
          "                      long-running sweep service on 127.0.0.1 (port 0 = pick one);\n"
-         "                      owns the result store, drains submitted sweeps with K\n"
-         "                      worker-mode threads, bounds the store to the byte budget by\n"
-         "                      utility-ordered eviction (0 = unbounded); writes the chosen\n"
-         "                      port to <dir>/serve.endpoint; SIGINT/SIGTERM stop it cleanly\n"
+         "                      owns the result store, runs each submitted sweep as one\n"
+         "                      cached run with K drain lanes, bounds the store to the byte\n"
+         "                      budget by utility-ordered eviction (0 = unbounded); writes\n"
+         "                      the chosen port to <dir>/serve.endpoint; SIGINT/SIGTERM stop\n"
+         "                      it cleanly\n"
          "  caem submit <scenario.scn> [--port=<p>|--store=<dir>] [--wait] [key=value ...]\n"
          "                      POST a sweep to a running service; prints the sweep id;\n"
          "                      --wait polls until it finishes (exit 0 only when done)\n"
@@ -180,7 +182,7 @@ struct CliArgs {
 /// Strictly-positive seconds for --lease/--progress; rejects trailing
 /// junk and non-positive values by name.
 double parse_seconds(const std::string& flag, const std::string& text) {
-  const std::optional<double> value = caem::util::parse_double(text);
+  const std::optional<double> value = caem::util::parse_finite(text);
   if (!value || !(*value > 0.0)) {
     throw std::invalid_argument(flag + " expects a positive number of seconds, got '" + text +
                                 "'");
@@ -366,9 +368,12 @@ int expand_command(int argc, char** argv) {
   }
   const caem::scenario::ScenarioSpec spec = load_spec(cli.overrides, argv[2]);
   print_banner(spec, std::cout);
+  // Each point's config digest names its directory in a --cache-dir,
+  // where every cell's full RunResult JSON lives.
   const auto grid = caem::scenario::expand_grid(spec.axes);
   for (const auto& point : grid) {
-    std::cout << "  [" << point.index << "] " << caem::scenario::describe(point) << "\n";
+    std::cout << "  [" << point.index << "] " << caem::scenario::describe(point)
+              << "  (cells: " << spec.config_at(point).digest() << "/)\n";
   }
   return 0;
 }
@@ -421,17 +426,11 @@ int serve_command(int argc, char** argv) {
   if (config.store_dir.empty()) {
     throw std::invalid_argument("serve.store_dir=<dir> is required");
   }
-  const long long port_value = options.get_int("serve.port", 0);
-  if (port_value < 0 || port_value > 65535) {
-    throw std::invalid_argument("serve.port must be a TCP port (0 = pick an ephemeral one)");
-  }
-  const long long budget = options.get_int("serve.store_budget_bytes", 0);
-  if (budget < 0) throw std::invalid_argument("serve.store_budget_bytes must be >= 0");
-  config.store_budget_bytes = static_cast<std::uint64_t>(budget);
-  const long long workers =
-      options.get_int("serve.workers", static_cast<long long>(config.drain_threads));
-  if (workers < 1) throw std::invalid_argument("serve.workers must be >= 1");
-  config.drain_threads = static_cast<std::size_t>(workers);
+  const auto port_value = options.get_uint("serve.port", 0, 65535);  // 0 = ephemeral
+  config.store_budget_bytes = options.get_uint("serve.store_budget_bytes", 0);
+  config.drain_threads = options.get_uint("serve.workers", config.drain_threads,
+                                          caem::scenario::ScenarioSpec::kMaxThreads);
+  if (config.drain_threads < 1) throw std::invalid_argument("serve.workers must be >= 1");
   config.lease_s = options.get_double("serve.lease_s", config.lease_s);
   if (!(config.lease_s > 0.0)) throw std::invalid_argument("serve.lease_s must be > 0");
   config.janitor_interval_s =

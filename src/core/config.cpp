@@ -1,5 +1,7 @@
 #include "core/config.hpp"
 
+#include <cstdint>
+#include <limits>
 #include <locale>
 #include <sstream>
 #include <stdexcept>
@@ -67,7 +69,6 @@ void NetworkConfig::validate() const {
     throw std::invalid_argument("config: negative CSI-gate deadline");
   }
   if (channel.jakes_oscillators == 0 || channel.jakes_oscillators > 4096) {
-    // Also catches negative overrides, which wrap far past 4096.
     throw std::invalid_argument("config: channel.jakes_oscillators must be in [1, 4096]");
   }
   if (mobility_kind != "static" && mobility_kind != "waypoint") {
@@ -103,29 +104,27 @@ void NetworkConfig::validate() const {
 }
 
 void NetworkConfig::apply_overrides(const util::Config& overrides) {
-  node_count = static_cast<std::size_t>(
-      overrides.get_int("node_count", static_cast<long long>(node_count)));
+  // Counts go through get_uint: a negative override is rejected by
+  // name instead of wrapping to a huge unsigned value.
+  constexpr unsigned long long kMaxU32 = std::numeric_limits<std::uint32_t>::max();
+  node_count = overrides.get_uint("node_count", node_count);
   field_size_m = overrides.get_double("field_size_m", field_size_m);
   ch_fraction = overrides.get_double("ch_fraction", ch_fraction);
   round_duration_s = overrides.get_double("round_duration_s", round_duration_s);
   traffic_rate_pps = overrides.get_double("traffic_rate_pps", traffic_rate_pps);
   traffic_kind = overrides.get_string("traffic_kind", traffic_kind);
   packet_bits = overrides.get_double("packet_bits", packet_bits);
-  buffer_capacity = static_cast<std::size_t>(
-      overrides.get_int("buffer_capacity", static_cast<long long>(buffer_capacity)));
-  sample_every_m = static_cast<std::uint32_t>(
-      overrides.get_int("sample_every_m", sample_every_m));
-  arm_queue_length = static_cast<std::size_t>(
-      overrides.get_int("arm_queue_length", static_cast<long long>(arm_queue_length)));
-  burst.min_packets = static_cast<std::size_t>(
-      overrides.get_int("burst_min", static_cast<long long>(burst.min_packets)));
-  burst.max_packets = static_cast<std::size_t>(
-      overrides.get_int("burst_max", static_cast<long long>(burst.max_packets)));
+  buffer_capacity = overrides.get_uint("buffer_capacity", buffer_capacity);
+  sample_every_m =
+      static_cast<std::uint32_t>(overrides.get_uint("sample_every_m", sample_every_m, kMaxU32));
+  arm_queue_length = overrides.get_uint("arm_queue_length", arm_queue_length);
+  burst.min_packets = overrides.get_uint("burst_min", burst.min_packets);
+  burst.max_packets = overrides.get_uint("burst_max", burst.max_packets);
   burst.hold_timeout_s = overrides.get_double("burst_hold_s", burst.hold_timeout_s);
-  backoff.cw = static_cast<std::uint32_t>(overrides.get_int("backoff_cw", backoff.cw));
+  backoff.cw = static_cast<std::uint32_t>(overrides.get_uint("backoff_cw", backoff.cw, kMaxU32));
   backoff.slot_s = overrides.get_double("backoff_slot_s", backoff.slot_s);
-  backoff.max_retries =
-      static_cast<std::uint32_t>(overrides.get_int("backoff_max_retries", backoff.max_retries));
+  backoff.max_retries = static_cast<std::uint32_t>(
+      overrides.get_uint("backoff_max_retries", backoff.max_retries, kMaxU32));
   check_interval_s = overrides.get_double("check_interval_s", check_interval_s);
   detect_delay_s = overrides.get_double("detect_delay_s", detect_delay_s);
   sensing_delay_s = overrides.get_double("sensing_delay_s", sensing_delay_s);
@@ -142,8 +141,8 @@ void NetworkConfig::apply_overrides(const util::Config& overrides) {
   channel.rician_k = overrides.get_double("channel.rician_k", channel.rician_k);
   channel.fading_kind = channel::fading_kind_from_string(overrides.get_string(
       "channel.fading_kind", channel::to_string(channel.fading_kind)));
-  channel.jakes_oscillators = static_cast<std::size_t>(overrides.get_int(
-      "channel.jakes_oscillators", static_cast<long long>(channel.jakes_oscillators)));
+  channel.jakes_oscillators =
+      overrides.get_uint("channel.jakes_oscillators", channel.jakes_oscillators);
   channel.snr_cache_enabled =
       overrides.get_bool("channel.snr_cache_enabled", channel.snr_cache_enabled);
   channel.radio_range_m = overrides.get_double("channel.radio_range_m", channel.radio_range_m);
@@ -180,8 +179,8 @@ void NetworkConfig::apply_overrides(const util::Config& overrides) {
   aggregation_ratio = overrides.get_double("aggregation_ratio", aggregation_ratio);
   csi_gate_deadline_s = overrides.get_double("csi_gate_deadline_s", csi_gate_deadline_s);
   routing.kind = overrides.get_string("routing.kind", routing.kind);
-  routing.max_hops =
-      static_cast<std::uint32_t>(overrides.get_int("routing.max_hops", routing.max_hops));
+  routing.max_hops = static_cast<std::uint32_t>(
+      overrides.get_uint("routing.max_hops", routing.max_hops, kMaxU32));
   routing.relay_rx_j_per_bit =
       overrides.get_double("routing.relay_rx_j_per_bit", routing.relay_rx_j_per_bit);
   routing.sink_x_m = overrides.get_double("routing.sink_x_m", routing.sink_x_m);

@@ -39,18 +39,11 @@ std::vector<core::Protocol> parse_protocols(const std::string& list) {
   return protocols;
 }
 
-long long parse_int(const std::string& key, const std::string& value) {
-  const std::optional<long long> parsed = util::parse_int(value);
-  if (!parsed) {
-    throw std::invalid_argument("scenario key '" + key + "' is not an integer: '" + value + "'");
-  }
-  return *parsed;
-}
-
 double parse_double(const std::string& key, const std::string& value) {
-  const std::optional<double> parsed = util::parse_double(value);
+  const std::optional<double> parsed = util::parse_finite(value);
   if (!parsed) {
-    throw std::invalid_argument("scenario key '" + key + "' is not a number: '" + value + "'");
+    throw std::invalid_argument("scenario key '" + key + "' is not a finite number: '" + value +
+                                "'");
   }
   return *parsed;
 }
@@ -74,18 +67,17 @@ void ScenarioSpec::apply_entry(const std::string& key, const std::string& value)
     } else if (field == "protocols") {
       protocols = parse_protocols(value);
     } else if (field == "seed") {
-      base_seed = static_cast<std::uint64_t>(parse_int(key, value));
+      base_seed = util::parse_uint_key(key, value);
     } else if (field == "reps") {
-      const long long reps = parse_int(key, value);
-      if (reps < 1) throw std::invalid_argument("scenario.reps must be >= 1");
-      replications = static_cast<std::size_t>(reps);
+      replications = util::parse_uint_key(key, value);
+      if (replications < 1) throw std::invalid_argument("scenario.reps must be >= 1");
     } else if (field == "max_sim_s") {
       options.max_sim_s = parse_double(key, value);
       if (options.max_sim_s <= 0.0) throw std::invalid_argument("scenario.max_sim_s must be > 0");
     } else if (field == "run_to_death") {
       options.run_to_death = parse_bool(key, value);
     } else if (field == "threads") {
-      threads = static_cast<std::size_t>(parse_int(key, value));
+      threads = util::parse_uint_key(key, value, kMaxThreads);
     } else if (field == "cache_dir") {
       cache_dir = value;
     } else {
@@ -116,9 +108,8 @@ void ScenarioSpec::apply_entry(const std::string& key, const std::string& value)
     } else if (field == "trace") {
       trace_dir = value;
     } else if (field == "trace_points") {
-      const long long points = parse_int(key, value);
-      if (points < 2) throw std::invalid_argument("output.trace_points must be >= 2");
-      trace_points = static_cast<std::size_t>(points);
+      trace_points = util::parse_uint_key(key, value);
+      if (trace_points < 2) throw std::invalid_argument("output.trace_points must be >= 2");
     } else {
       throw std::invalid_argument("unknown output key '" + key + "' (expected output.csv, "
                                   "output.json, output.trace or output.trace_points)");

@@ -42,9 +42,12 @@ struct ScenarioSpec {
   std::size_t replications = 2;
   core::RunOptions options;   ///< scenario.max_sim_s / scenario.run_to_death
   std::size_t threads = 0;    ///< 0 = hardware concurrency
+  /// Upper bound on scenario.threads (and serve.workers): each lane is
+  /// an OS thread.
+  static constexpr std::size_t kMaxThreads = 1024;
 
-  /// Starting NetworkConfig before file/CLI overrides (benches seed this
-  /// with their parsed CLI config; the file path starts from defaults).
+  /// Starting NetworkConfig before file/CLI overrides (the file path
+  /// starts from defaults).
   core::NetworkConfig base_config;
   /// NetworkConfig overrides shared by every grid point.
   util::Config base_overrides;

@@ -28,8 +28,11 @@ std::vector<std::string> split(const std::string& text, char sep) {
 }
 
 double parse_number(const std::string& key, const std::string& text) {
-  const std::optional<double> value = util::parse_double(text);
-  if (!value) throw std::invalid_argument("sweep axis '" + key + "': '" + text + "' is not a number");
+  const std::optional<double> value = util::parse_finite(text);
+  if (!value) {
+    throw std::invalid_argument("sweep axis '" + key + "': '" + text +
+                                "' is not a finite number");
+  }
   return *value;
 }
 
@@ -120,8 +123,12 @@ Axis parse_axis(const std::string& key, const std::string& spec) {
                                   "': range needs step > 0 and stop >= start ('" + spec + "')");
     }
     // Inclusive endpoints with an epsilon so e.g. 5:30:5 lands on 30.
-    const auto count =
-        static_cast<std::size_t>(std::floor((stop - start) / step + 1e-9)) + 1;
+    const double steps = std::floor((stop - start) / step + 1e-9);
+    if (!(steps < 1e6)) {
+      throw std::invalid_argument("sweep axis '" + key + "': range expands to more than 1e6 "
+                                  "values ('" + spec + "')");
+    }
+    const auto count = static_cast<std::size_t>(steps) + 1;
     axis.values.reserve(count);
     for (std::size_t i = 0; i < count; ++i) {
       axis.values.push_back(format_value(start + static_cast<double>(i) * step));

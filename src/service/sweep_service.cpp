@@ -203,11 +203,6 @@ HttpResponse SweepService::submit(const HttpRequest& request) {
     sweep->entry_paths.push_back(std::move(path));
   }
 
-  const std::size_t threads = std::max<std::size_t>(1, config_.drain_threads);
-  for (std::size_t k = 0; k < threads; ++k) {
-    sweep->sinks.push_back(std::make_unique<scenario::ProgressSink>());
-  }
-
   std::string id;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
@@ -235,21 +230,8 @@ HttpResponse SweepService::sweep_status(const std::string& id) {
   if (it == sweeps_.end()) return error_response(404, "no sweep '" + id + "'");
   const Sweep& sweep = *it->second;
 
-  std::size_t executed = 0;
-  std::size_t stolen = 0;
-  std::ostringstream workers;
-  workers << '[';
-  for (std::size_t k = 0; k < sweep.sinks.size(); ++k) {
-    const scenario::ProgressSink& sink = *sweep.sinks[k];
-    const std::size_t sink_executed = sink.executed.load();
-    const std::size_t sink_stolen = sink.stolen.load();
-    executed += sink_executed;
-    stolen += sink_stolen;
-    if (k != 0) workers << ',';
-    workers << "{\"executed\":" << sink_executed << ",\"stolen\":" << sink_stolen << '}';
-  }
-  workers << ']';
-
+  const std::size_t executed = sweep.progress.executed.load();
+  const std::size_t stolen = sweep.progress.stolen.load();
   const std::size_t done = std::min(sweep.total_jobs, sweep.precached + executed);
   double elapsed_s = sweep.wall_s;
   if (sweep.state == State::kRunning) {
@@ -271,7 +253,7 @@ HttpResponse SweepService::sweep_status(const std::string& id) {
   } else {
     out << -1;  // unknown yet
   }
-  out << ",\"wall_s\":" << util::format_full(elapsed_s) << ",\"workers\":" << workers.str();
+  out << ",\"wall_s\":" << util::format_full(elapsed_s);
   if (!sweep.error.empty()) out << ",\"error\":\"" << util::json_escape(sweep.error) << '"';
   if (sweep.state == State::kDone) {
     out << ",\"artifacts\":[";
@@ -411,78 +393,36 @@ void SweepService::dispatch_loop() {
 }
 
 void SweepService::run_sweep(Sweep& sweep) {
-  // Phase 1 — drain: K in-process threads each run the SAME one-lane
-  // claim drain `caem run --worker` uses, claiming cells in the store's
-  // ClaimBoard.  They cooperate with each other (and with any external
-  // worker pointed at the store) through claims alone; each reports
-  // into its own ProgressSink so status polls see per-thread censuses.
-  std::mutex error_mutex;
-  std::string first_error;
-  std::vector<std::thread> drains;
-  drains.reserve(sweep.sinks.size());
-  for (std::size_t k = 0; k < sweep.sinks.size(); ++k) {
-    drains.emplace_back([this, &sweep, &error_mutex, &first_error, k] {
-      scenario::ScenarioSpec worker = sweep.spec;
-      worker.worker_mode = true;
-      worker.threads = 1;  // one lane per drain thread: the sink is per-thread
-      worker.lease_s = config_.lease_s;
-      worker.csv_path.clear();
-      worker.json_path.clear();
-      worker.trace_dir.clear();
-      worker.progress_sink = sweep.sinks[k].get();
-      worker.cancel = &sweep.cancel;
-      worker.record_touches = true;
-      try {
-        (void)scenario::run_scenario(worker);
-      } catch (const std::exception& error) {
-        {
-          const std::lock_guard<std::mutex> lock(error_mutex);
-          if (first_error.empty()) first_error = error.what();
-        }
-        sweep.cancel.store(true);  // siblings stop at their next cell ...
-        scenario::ClaimBoard::wake_waiters();  // ... or wake from a wait
-      }
-    });
-  }
-  for (std::thread& drain : drains) drain.join();
-
+  // One cached run against the store: its lanes claim, compute and
+  // store each cell, then fold from memory and render the artifacts.
   State terminal = State::kDone;
-  if (!first_error.empty()) {
-    terminal = State::kFailed;
-  } else if (sweep.cancel.load()) {
-    terminal = State::kCancelled;
-  } else {
-    // Phase 2 — fold: a plain cached run re-reads the now-complete
-    // sweep from pure cache hits and renders the artifacts,
-    // byte-identical to a direct single-process run (a tested engine
-    // contract).
-    try {
-      std::error_code error;
-      fs::create_directories(sweep.artifacts_dir, error);
-      if (error) {
-        throw std::runtime_error("cannot create artifacts dir '" + sweep.artifacts_dir +
-                                 "': " + error.message());
-      }
-      scenario::ScenarioSpec merge = sweep.spec;
-      merge.record_touches = true;
-      merge.cancel = &sweep.cancel;  // service shutdown aborts the fold too
-      std::ostringstream log;
-      const scenario::ScenarioResult result = scenario::run_scenario(merge);
-      scenario::write_outputs(result, merge, log);
-    } catch (const scenario::SweepCancelled&) {
-      terminal = State::kCancelled;
-    } catch (const std::exception& error) {
-      first_error = error.what();
-      terminal = State::kFailed;
+  std::string error_text;
+  try {
+    scenario::ScenarioSpec run = sweep.spec;
+    run.threads = std::max<std::size_t>(1, config_.drain_threads);
+    run.lease_s = config_.lease_s;
+    run.progress_sink = &sweep.progress;
+    run.cancel = &sweep.cancel;
+    run.record_touches = true;
+    const scenario::ScenarioResult result = scenario::run_scenario(run);
+    std::error_code error;
+    fs::create_directories(sweep.artifacts_dir, error);
+    if (error) {
+      throw std::runtime_error("cannot create artifacts dir '" + sweep.artifacts_dir +
+                               "': " + error.message());
     }
+    std::ostringstream log;
+    scenario::write_outputs(result, run, log);
+  } catch (const scenario::SweepCancelled&) {
+    terminal = State::kCancelled;
+  } catch (const std::exception& error) {
+    error_text = error.what();
+    terminal = State::kFailed;
   }
 
   const std::lock_guard<std::mutex> lock(mutex_);
   sweep.state = terminal;
-  sweep.error = first_error;
-  std::size_t executed = 0;
-  for (const auto& sink : sweep.sinks) executed += sink->executed.load();
-  sweep.executed = executed;
+  sweep.error = error_text;
   sweep.wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - sweep.started).count();
 }

@@ -9,9 +9,9 @@
 //                               appended as ordinary key=value lines —
 //                               last assignment wins, same as the CLI)
 //   GET  /sweeps/<id>           live progress JSON: done/total cells,
-//                               hit/executed split, cells/s, ETA, and a
-//                               per-drain-thread census — safe to poll
-//                               from any number of clients
+//                               hit/executed split, stolen claims,
+//                               cells/s, ETA — safe to poll from any
+//                               number of clients
 //   GET  /sweeps/<id>/artifacts/<path>   rendered outputs (CSV/JSON/
 //                               trace files), byte-identical to a
 //                               direct `caem run` of the same scenario
@@ -21,13 +21,13 @@
 //   GET  /stats                 store size/entries, eviction counters,
 //                               sweep-state census
 //
-// Execution reuses the existing engines wholesale — no second
-// scheduler: a submitted sweep is drained by K in-process threads each
-// running the SAME claim drain that `caem run --worker` uses (dynamic
-// cell claiming through the store's ClaimBoard, so external workers
-// pointed at the store can even join a drain), then folded by a plain
-// cached run — what `caem merge` does — which renders artifacts from
-// pure cache hits.  Progress is observed through ScenarioSpec::progress_sink
+// Execution reuses the engine wholesale — no second scheduler: a
+// submitted sweep is ONE cached run_scenario against the store with
+// serve.workers lanes.  The lanes split the queue in memory, claim each
+// cell in the store's ClaimBoard (so external `caem run --worker`
+// processes pointed at the store can join the drain), store every cell
+// as it finishes, and fold from memory into artifacts byte-identical to
+// `caem run`.  Progress is observed through ScenarioSpec::progress_sink
 // and cancellation through ScenarioSpec::cancel — the hooks exist
 // precisely so the service never has to reimplement drain logic.
 //
@@ -58,8 +58,8 @@ namespace caem::service {
 struct ServeConfig {
   std::string store_dir;                 ///< result store root (required)
   std::uint64_t store_budget_bytes = 0;  ///< 0 = unbounded store
-  std::size_t drain_threads = 2;         ///< worker-mode drains per sweep
-  double lease_s = 30.0;                 ///< claim lease for the drains
+  std::size_t drain_threads = 2;         ///< drain lanes per sweep
+  double lease_s = 30.0;                 ///< claim lease for the drain
   double janitor_interval_s = 2.0;       ///< <= 0: sweep only on demand
 };
 
@@ -97,13 +97,12 @@ class SweepService {
     std::size_t precached = 0;  ///< entries already stored at submit
     State state = State::kQueued;
     std::string error;
-    /// One sink per drain thread, allocated at submit so status polls
-    /// can read them before/while/after the drain runs.
-    std::vector<std::unique_ptr<scenario::ProgressSink>> sinks;
+    /// The drain's live counters; status polls read them before,
+    /// while and after the run.
+    scenario::ProgressSink progress;
     std::atomic<bool> cancel{false};
     std::chrono::steady_clock::time_point started{};
-    double wall_s = 0.0;        ///< drain+merge wall clock once terminal
-    std::size_t executed = 0;   ///< terminal: cells simulated in-process
+    double wall_s = 0.0;  ///< drain+fold wall clock once terminal
     std::string artifacts_dir;
   };
 

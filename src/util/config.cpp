@@ -146,10 +146,11 @@ double Config::get_double(const std::string& key, double fallback) const {
   const auto it = entries_.find(key);
   if (it == entries_.end()) return fallback;
   mark_consumed(key);
-  // Locale-independent parse (util::parse_double): a non-"C" global
+  // Locale-independent parse (util::parse_finite): a non-"C" global
   // locale must never change what a config value means.
-  if (const std::optional<double> value = parse_double(it->second)) return *value;
-  throw std::invalid_argument("Config: key '" + key + "' is not a number: '" + it->second + "'");
+  if (const std::optional<double> value = parse_finite(it->second)) return *value;
+  throw std::invalid_argument("Config: key '" + key + "' is not a finite number: '" +
+                              it->second + "'");
 }
 
 long long Config::get_int(const std::string& key, long long fallback) const {
@@ -159,6 +160,28 @@ long long Config::get_int(const std::string& key, long long fallback) const {
   if (const std::optional<long long> value = parse_int(it->second)) return *value;
   throw std::invalid_argument("Config: key '" + key + "' is not an integer: '" + it->second +
                               "'");
+}
+
+unsigned long long parse_uint_key(const std::string& key, const std::string& text,
+                                unsigned long long max) {
+  const std::optional<unsigned long long> value = parse_uint(text);
+  if (value && *value <= max) return *value;
+  if (value) {
+    throw std::invalid_argument("key '" + key + "' must be at most " + std::to_string(max) +
+                                ", got '" + text + "'");
+  }
+  if (parse_int(text)) {
+    throw std::invalid_argument("key '" + key + "' must not be negative, got '" + text + "'");
+  }
+  throw std::invalid_argument("key '" + key + "' is not an integer: '" + text + "'");
+}
+
+unsigned long long Config::get_uint(const std::string& key, unsigned long long fallback,
+                                    unsigned long long max) const {
+  const auto it = entries_.find(key);
+  if (it == entries_.end()) return fallback;
+  mark_consumed(key);
+  return parse_uint_key(key, it->second, max);
 }
 
 bool Config::get_bool(const std::string& key, bool fallback) const {

@@ -15,6 +15,7 @@
 // fanning out, so worker threads never touch a shared Config at all.
 #pragma once
 
+#include <limits>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -54,11 +55,18 @@ class Config {
   [[nodiscard]] bool has(const std::string& key) const;
 
   /// Typed getters: return `fallback` when the key is absent; throw
-  /// std::invalid_argument when present but malformed.
+  /// std::invalid_argument when present but malformed.  get_double
+  /// rejects "nan" and "inf".
   [[nodiscard]] std::string get_string(const std::string& key, const std::string& fallback) const;
   [[nodiscard]] double get_double(const std::string& key, double fallback) const;
   [[nodiscard]] long long get_int(const std::string& key, long long fallback) const;
   [[nodiscard]] bool get_bool(const std::string& key, bool fallback) const;
+
+  /// Counts and sizes: an integer in [0, max], never a negative value
+  /// wrapped through an unsigned cast (see parse_uint_key).
+  [[nodiscard]] unsigned long long get_uint(
+      const std::string& key, unsigned long long fallback,
+      unsigned long long max = std::numeric_limits<unsigned long long>::max()) const;
 
   /// Keys never read through a getter (typo detection for CLIs).
   /// Returns a snapshot; concurrent getters may consume keys after it is
@@ -78,6 +86,13 @@ class Config {
   mutable std::map<std::string, bool> consumed_;
   mutable std::mutex consumed_mutex_;
 };
+
+/// The range check behind Config::get_uint, for parsers that dispatch on
+/// raw entries: `text` as an integer in [0, max], or
+/// std::invalid_argument naming `key`.
+[[nodiscard]] unsigned long long parse_uint_key(
+    const std::string& key, const std::string& text,
+    unsigned long long max = std::numeric_limits<unsigned long long>::max());
 
 /// Trim ASCII whitespace from both ends.
 [[nodiscard]] std::string trim(const std::string& text);

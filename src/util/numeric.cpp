@@ -1,6 +1,7 @@
 #include "util/numeric.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <system_error>
 
 namespace caem::util {
@@ -32,6 +33,12 @@ std::optional<T> parse_with_from_chars(std::string_view text) {
 
 std::optional<double> parse_double(std::string_view text) {
   return parse_with_from_chars<double>(text);
+}
+
+std::optional<double> parse_finite(std::string_view text) {
+  const std::optional<double> value = parse_double(text);
+  if (!value || !std::isfinite(*value)) return std::nullopt;
+  return value;
 }
 
 std::optional<long long> parse_int(std::string_view text) {

@@ -24,6 +24,11 @@ namespace caem::util {
 /// std::nullopt unless the WHOLE token parses.
 [[nodiscard]] std::optional<double> parse_double(std::string_view text);
 
+/// parse_double restricted to finite values: every config, scenario and
+/// sweep number goes through it, so "nan" and "inf" never reach a
+/// validate() whose `x <= 0` checks a NaN slips past.
+[[nodiscard]] std::optional<double> parse_finite(std::string_view text);
+
 /// Parse a complete base-10 signed integer token.  std::nullopt unless
 /// the whole token parses (no range wrap, no trailing characters).
 [[nodiscard]] std::optional<long long> parse_int(std::string_view text);

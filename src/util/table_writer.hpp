@@ -1,6 +1,6 @@
-// table_writer.hpp — aligned console tables and CSV output for the
-// benchmark harness, so every figure bench prints the paper-style rows
-// uniformly and can optionally dump machine-readable CSV next to them.
+// table_writer.hpp — aligned console tables plus CSV and JSON output,
+// so the scenario summary, the CLI and the table benches print
+// paper-style rows uniformly and write machine-readable copies of them.
 #pragma once
 
 #include <cstddef>

@@ -62,7 +62,7 @@ enum class FoldMode {
 [[nodiscard]] std::vector<double> uniform_grid(double t0, double t1, std::size_t n);
 
 /// Cross-replication trace fold: the pointwise mean of `traces` sampled
-/// at each grid time (the loop every figure bench used to inline).
+/// at each grid time (the engine's `output.trace` artifacts).
 /// Throws std::invalid_argument when `traces` is empty or contains a
 /// null pointer; empty member series contribute 0 at every time, like
 /// `value_at` on an empty series.

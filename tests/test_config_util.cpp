@@ -3,6 +3,8 @@
 
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -34,6 +36,38 @@ TEST(Config, MalformedValuesThrow) {
   EXPECT_THROW(config.get_int("x", 0), std::invalid_argument);
   EXPECT_THROW(config.get_double("y", 0.0), std::invalid_argument);
   EXPECT_THROW(config.get_bool("z", false), std::invalid_argument);
+}
+
+/// what() of the std::invalid_argument `fn` throws ("" if none).
+template <typename Fn>
+std::string rejection(Fn&& fn) {
+  try {
+    fn();
+  } catch (const std::invalid_argument& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(Config, NonFiniteNumbersAreRejectedByName) {
+  const Config config = Config::from_args({"a=nan", "b=inf", "c=-inf", "d=NaN", "e=1e999"});
+  for (const char* key : {"a", "b", "c", "d", "e"}) {
+    const std::string message = rejection([&] { (void)config.get_double(key, 0.0); });
+    EXPECT_NE(message.find(std::string("'") + key + "'"), std::string::npos)
+        << key << ": '" << message << "'";
+  }
+}
+
+TEST(Config, UnsignedGetterRangeChecksInsteadOfWrapping) {
+  const Config config = Config::from_args({"ok=42", "neg=-1", "wide=70000", "word=x"});
+  EXPECT_EQ(config.get_uint("ok", 0), 42u);
+  EXPECT_EQ(config.get_uint("missing", 7), 7u);
+  for (const char* key : {"neg", "wide", "word"}) {
+    const std::string message = rejection([&] { (void)config.get_uint(key, 0, 65535); });
+    EXPECT_NE(message.find(std::string("'") + key + "'"), std::string::npos)
+        << key << ": '" << message << "'";
+  }
+  EXPECT_TRUE(config.unconsumed().empty());
 }
 
 TEST(Config, MalformedTokenThrows) {

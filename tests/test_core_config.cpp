@@ -1,6 +1,9 @@
 // Tests for NetworkConfig and the Protocol enum plumbing.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "core/config.hpp"
 #include "core/protocol.hpp"
 
@@ -84,6 +87,29 @@ TEST(NetworkConfig, OverridesValidate) {
                std::invalid_argument);
 }
 
+/// what() of the std::invalid_argument an override throws ("" if none).
+std::string override_rejection(const std::string& token) {
+  NetworkConfig config;
+  try {
+    config.apply_overrides(util::Config::from_args({token}));
+  } catch (const std::invalid_argument& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(NetworkConfig, NegativeCountOverridesAreRejectedByName) {
+  // An unsigned cast would wrap each: backoff_cw=-1 to 4294967295
+  // (delivery 0), node_count=-5 to an allocation that dies mid-run.
+  for (const char* token :
+       {"node_count=-5", "buffer_capacity=-1", "sample_every_m=-1", "arm_queue_length=-3",
+        "burst_min=-1", "burst_max=-1", "backoff_cw=-1", "backoff_max_retries=-1",
+        "routing.max_hops=-1", "backoff_cw=4294967296"}) {
+    const std::string key = std::string(token).substr(0, std::string(token).find('='));
+    EXPECT_NE(override_rejection(token).find("'" + key + "'"), std::string::npos) << token;
+  }
+}
+
 TEST(Protocol, NamesRoundTrip) {
   EXPECT_STREQ(to_string(protocol_from_string("leach")), "pure-leach");
   EXPECT_STREQ(to_string(protocol_from_string("scheme1")), "caem-scheme1");
@@ -152,8 +178,8 @@ TEST(NetworkConfig, JakesOscillatorsValidated) {
   NetworkConfig config;
   config.apply_overrides(util::Config::from_args({"channel.jakes_oscillators=8"}));
   EXPECT_EQ(config.channel.jakes_oscillators, 8u);
-  // Zero and negative (which wraps through size_t) must die in
-  // validate() with a message naming the key, not mid-sweep.
+  // Zero and negative must die at override time with a message naming
+  // the key, not mid-sweep.
   EXPECT_THROW(
       config.apply_overrides(util::Config::from_args({"channel.jakes_oscillators=0"})),
       std::invalid_argument);

@@ -7,6 +7,9 @@
 #include <fstream>
 #include <numeric>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "scenario/engine.hpp"
@@ -164,6 +167,66 @@ TEST(Spec, RejectsUnknownKeysEverywhere) {
   // Value that fails NetworkConfig::validate.
   EXPECT_THROW((void)ScenarioSpec::from_config(util::Config::from_text("node_count = 1\n")),
                std::invalid_argument);
+}
+
+/// what() of the std::invalid_argument parsing `text` throws ("" if
+/// none); the grid is expanded and every point's config built, as a run
+/// does before its first cell.
+std::string spec_rejection(const std::string& text) {
+  try {
+    const ScenarioSpec spec = ScenarioSpec::from_config(util::Config::from_text(text));
+    for (const GridPoint& point : expand_grid(spec.axes)) (void)spec.config_at(point);
+  } catch (const std::invalid_argument& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(Spec, RejectsNonFiniteNumbersNamingTheKey) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"initial_energy_j = nan\n", "initial_energy_j"},
+      {"field_size_m = nan\n", "field_size_m"},
+      {"scenario.max_sim_s = inf\n", "scenario.max_sim_s"},
+      // A NaN step would make the value count a NaN cast to size_t.
+      {"sweep.traffic_rate_pps = range:0:1:nan\n", "traffic_rate_pps"},
+      {"sweep.traffic_rate_pps = range:1:inf:1\n", "traffic_rate_pps"},
+      {"sweep.traffic_rate_pps = list:5,nan\n", "traffic_rate_pps"},
+      // Finite but too many values to expand.
+      {"sweep.traffic_rate_pps = range:1:1e300:1e-300\n", "traffic_rate_pps"},
+  };
+  for (const auto& [text, key] : cases) {
+    EXPECT_NE(spec_rejection(text).find(key), std::string::npos) << text;
+  }
+}
+
+TEST(Spec, RejectsNegativeCountsNamingTheKey) {
+  // A wrapped scenario.threads=-1 would start one lane per job.
+  for (const char* text : {"scenario.threads = -1\n", "scenario.threads = 100000\n",
+                           "scenario.reps = -1\n", "scenario.seed = -1\n",
+                           "output.trace_points = -2\n"}) {
+    const std::string key = util::trim(std::string(text).substr(0, std::string(text).find('=')));
+    EXPECT_NE(spec_rejection(text).find("'" + key + "'"), std::string::npos) << text;
+  }
+  EXPECT_EQ(ScenarioSpec::from_config(util::Config::from_text("scenario.threads = 3\n")).threads,
+            3u);
+}
+
+TEST(ExampleScenarios, EveryFileLoadsExpandsAndValidates) {
+  // Every figure, ablation and extension lives only as a .scn file:
+  // each must parse, expand and build a valid config at every point.
+  namespace fs = std::filesystem;
+  std::size_t files = 0;
+  for (const fs::directory_entry& entry : fs::directory_iterator(CAEM_SCENARIO_DIR)) {
+    if (entry.path().extension() != ".scn") continue;
+    ++files;
+    SCOPED_TRACE(entry.path().filename().string());
+    const ScenarioSpec spec = ScenarioSpec::from_file(entry.path().string());
+    EXPECT_GT(spec.total_jobs(), 0u);
+    for (const GridPoint& point : expand_grid(spec.axes)) {
+      EXPECT_NO_THROW(spec.config_at(point).validate()) << describe(point);
+    }
+  }
+  EXPECT_GE(files, 21u);
 }
 
 TEST(Spec, RejectsRetiredQueueKindKnob) {

@@ -236,6 +236,30 @@ TEST(SweepService, ConcurrentPollersSeeConsistentProgress) {
   fs::remove_all(store);
 }
 
+TEST(SweepService, RepeatedSubmissionsLeaveNoWorkerMarkers) {
+  // Each sweep is one cached run: no worker-mode drain, so nothing
+  // writes worker_<token>.done telemetry the janitor would never evict.
+  const fs::path store = scratch_dir("markers_store");
+  SweepService service(serve_config(store));
+  for (int i = 1; i <= 3; ++i) {
+    ASSERT_EQ(service.handle(make_request("POST", "/sweeps", kScenarioText)).status, 201);
+    ASSERT_TRUE(service.wait_idle(120.0));
+    const std::string id = "s" + std::to_string(i);
+    const HttpResponse status = service.handle(make_request("GET", "/sweeps/" + id));
+    EXPECT_TRUE(contains(status.body, "\"state\":\"done\"")) << status.body;
+    EXPECT_TRUE(contains(status.body, i == 1 ? "\"executed\":8" : "\"executed\":0"))
+        << status.body;
+    EXPECT_FALSE(contains(status.body, "\"workers\""));
+  }
+  std::size_t markers = 0;
+  for (const fs::directory_entry& entry : fs::recursive_directory_iterator(store)) {
+    if (entry.path().filename().string().rfind("worker_", 0) == 0) ++markers;
+  }
+  EXPECT_EQ(markers, 0u);
+  service.stop();
+  fs::remove_all(store);
+}
+
 TEST(SweepService, ErrorBodiesEscapeControlBytes) {
   // A key with an embedded CR (a hand-edited CRLF body) is echoed back
   // in the 400 message: the JSON must carry it escaped, never raw.

@@ -1,6 +1,6 @@
 // util::TimeSeries edge cases (query before/after/on an empty series)
-// and the cross-replication trace fold used by the figure benches and
-// the engine's `output.trace` artifacts.
+// and the cross-replication trace fold behind the engine's
+// `output.trace` artifacts.
 #include <gtest/gtest.h>
 
 #include "util/time_series.hpp"
