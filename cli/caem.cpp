@@ -34,10 +34,8 @@
 #include <chrono>
 #include <csignal>
 #include <exception>
-#include <fstream>
 #include <iostream>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -47,7 +45,7 @@
 #include "core/protocol.hpp"
 #include "scenario/engine.hpp"
 #include "scenario/scenario_spec.hpp"
-#include "scenario/shard_manifest.hpp"
+#include "scenario/worker_report.hpp"
 #include "scenario/work_queue.hpp"
 #include "service/http_endpoint.hpp"
 #include "service/sweep_service.hpp"
@@ -122,8 +120,9 @@ int usage(std::ostream& out, int exit_code) {
          "                      the chosen port to <dir>/serve.endpoint; SIGINT/SIGTERM stop\n"
          "                      it cleanly\n"
          "  caem submit <scenario.scn> [--port=<p>|--store=<dir>] [--wait] [key=value ...]\n"
-         "                      POST a sweep to a running service; prints the sweep id;\n"
-         "                      --wait polls until it finishes (exit 0 only when done)\n"
+         "                      POST a sweep to a running service (includes inlined\n"
+         "                      first); prints the sweep id; --wait polls until it\n"
+         "                      finishes (exit 0 only when done)\n"
          "  caem status [--port=<p>|--store=<dir>] [<id>]\n"
          "                      progress JSON for one sweep, or service /stats without an id\n"
          "  caem fetch <id> <artifact-path> [--port=<p>|--store=<dir>] [--out=<file>]\n"
@@ -153,7 +152,7 @@ int usage(std::ostream& out, int exit_code) {
          "a distributed launch runs the same scenario + overrides on every worker, e.g.\n"
          "  for i in 1 2 3; do caem run sweep.scn --worker --cache-dir=cache & done\n"
          "  wait; caem merge sweep.scn --cache-dir=cache\n"
-         "(scripts/shard_sweep.sh wraps exactly this)\n";
+         "(scripts/worker_sweep.sh wraps exactly this)\n";
   return exit_code;
 }
 
@@ -292,10 +291,10 @@ int run_command(int argc, char** argv, bool merge) {
   if (merge) {
     // Straggler telemetry: who drained what, and how long the slowest
     // worker — the sweep's critical path — actually took.
-    const std::vector<caem::scenario::WorkerMarker> workers =
-        caem::scenario::ShardManifest(spec.cache_dir, result.sweep_digest).collect_workers();
-    const caem::scenario::WorkerMarker* straggler = nullptr;
-    for (const caem::scenario::WorkerMarker& w : workers) {
+    const std::vector<caem::scenario::WorkerReport> workers =
+        caem::scenario::WorkerReports(spec.cache_dir, result.sweep_digest).collect();
+    const caem::scenario::WorkerReport* straggler = nullptr;
+    for (const caem::scenario::WorkerReport& w : workers) {
       std::cout << "  worker " << w.token << ": " << w.stored.size() << " executed, "
                 << w.cache_hits << " hits, " << w.stolen << " stolen, "
                 << caem::util::format_fixed(w.wall_ms / 1000.0, 2) << " s\n";
@@ -493,11 +492,9 @@ int submit_command(int argc, char** argv) {
   }
   const std::uint16_t port = resolve_port(port_text, store_dir);
 
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::invalid_argument("cannot read scenario file '" + path + "'");
-  std::ostringstream text;
-  text << in.rdbuf();
-  std::string body = text.str();
+  // The daemon parses the body as self-contained text and never opens a
+  // path it was sent, so includes are inlined here, on the client.
+  std::string body = caem::util::Config::resolve_includes(path);
   if (!overrides.empty()) {
     // Same override semantics as `caem run`: appended assignments win.
     body += "\n# appended by caem submit (last assignment wins)\n";

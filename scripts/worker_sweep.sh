@@ -1,9 +1,9 @@
 #!/usr/bin/env sh
-# shard_sweep.sh — launch a local N-way distributed sweep against one
+# worker_sweep.sh — launch a local N-way distributed sweep against one
 # shared cache directory, wait for the workers, then merge and render
 # artifacts.
 #
-#   scripts/shard_sweep.sh <caem-binary> <scenario.scn> <N> <cache-dir> \
+#   scripts/worker_sweep.sh <caem-binary> <scenario.scn> <N> <cache-dir> \
 #       [--lease=<secs>] [key=value ...]
 #
 # The N processes are dynamic workers (`caem run --worker`): they drain

@@ -218,7 +218,9 @@ std::string NetworkConfig::canonical_text() const {
   // changes, model fixes) even though no config or RunResult field
   // moved — it feeds the digest, so existing result-cache directories
   // invalidate structurally instead of serving pre-change numbers.
-  out << "sim-semantics=1\n";
+  // Version 2 is scoped to ch_forward_enabled=1, the only configs whose
+  // results moved when CH forwarding began refusing unfunded deliveries.
+  out << "sim-semantics=" << (ch_forward_enabled ? 2 : 1) << '\n';
   put_u("node_count", node_count);
   put_d("field_size_m", field_size_m);
   put_d("ch_fraction", ch_fraction);

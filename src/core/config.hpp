@@ -18,12 +18,11 @@
 
 namespace caem::core {
 
-/// Multi-hop uplink routing knobs.  All-default values mean "the legacy
-/// single-hop uplink": the network takes the exact pre-routing code
-/// path and canonical_text() renders the legacy caem-config-v2 text, so
-/// existing digests, cache entries and artifacts are untouched.  Any
-/// non-default field switches the rendering to caem-config-v3 with a
-/// routing block appended.
+/// Multi-hop uplink routing knobs.  All-default values mean one direct
+/// leg to the virtual sink, with no range limit, and canonical_text()
+/// renders the caem-config-v2 text, so existing digests, cache entries
+/// and artifacts are untouched.  Any non-default field switches the
+/// rendering to caem-config-v3 with a routing block appended.
 struct UplinkRoutingConfig {
   /// Path selection: "direct" (one leg), "greedy" (greedy-geographic
   /// with the UtilCache cost/benefit rule) or "chain" (CH->CH
@@ -106,7 +105,8 @@ struct NetworkConfig {
   /// CH -> base station forwarding (paper Fig 1's uplink, which the
   /// evaluation explicitly defers).  When enabled, every aggregated
   /// packet costs the CH first-order radio energy
-  /// (e_elec + eps_amp * d_bs^2 per bit), the classic LEACH model.
+  /// (e_elec + eps_amp * d_bs^2 per bit), the classic LEACH model, and
+  /// counts as delivered only if the CH is alive and can pay for it.
   bool ch_forward_enabled = false;
   double bs_distance_m = 120.0;       ///< CH-to-base-station distance
   double fwd_e_elec_j_per_bit = 50e-9;
@@ -115,9 +115,9 @@ struct NetworkConfig {
 
   /// Multi-hop uplink routing (see UplinkRoutingConfig).  Setting any
   /// routing.* knob — or a protocol spec carrying a routing/energy
-  /// factory — activates the routed uplink path: hop chains executed
-  /// per packet, per-leg energy at true pairwise distance, unreachable
-  /// packets booked as drops.
+  /// factory — gives every CH an uplink and range-limits the sink leg:
+  /// hop chains executed per packet, per-leg energy at true pairwise
+  /// distance, unreachable packets booked as drops.
   UplinkRoutingConfig routing{};
 
   /// Deadline-aware CAEM (future-work variant): a sensor whose
@@ -144,10 +144,9 @@ struct NetworkConfig {
   [[nodiscard]] channel::LinkBudget link_budget() const noexcept;
 
   /// First-order radio cost of one bit on the long haul to the base
-  /// station (classic LEACH model: e_elec + eps_amp * d_bs^2).  The ONE
-  /// formula both CH forwarding and the clusterless direct uplink
-  /// charge — it delegates to the shared energy::first_order_j_per_bit
-  /// helper, so the constants live in exactly one expression.
+  /// station (classic LEACH model: e_elec + eps_amp * d_bs^2): what the
+  /// default FirstOrderUplinkModel charges per bit on a leg to the
+  /// virtual sink, through the same energy::first_order_j_per_bit.
   [[nodiscard]] double bs_uplink_j_per_bit() const noexcept {
     return energy::first_order_j_per_bit(fwd_e_elec_j_per_bit, fwd_eps_amp_j_per_bit_m2,
                                          bs_distance_m);

@@ -19,24 +19,29 @@ Network::Network(NetworkConfig config, Protocol protocol, std::uint64_t seed)
   const ProtocolSpec& spec = protocol_.spec();
   if (spec.clustering) clustering_ = spec.clustering(config_);
 
-  // Routed uplink activates when the spec carries a routing or energy
-  // factory OR any routing.* knob is non-default; otherwise the run
-  // takes the legacy single-hop path untouched (byte-identical
-  // artifacts for all pre-routing configs — a tested contract).
-  if (spec.routing || spec.uplink_energy || !config_.routing.is_default()) {
-    routing_ = spec.routing ? spec.routing(config_)
-                            : routing::make_routing_strategy(config_.routing.kind,
-                                                             config_.routing.max_hops);
-    uplink_energy_ = spec.uplink_energy
-                         ? spec.uplink_energy(config_)
-                         : std::make_unique<energy::FirstOrderUplinkModel>(
-                               config_.fwd_e_elec_j_per_bit, config_.fwd_eps_amp_j_per_bit_m2,
-                               config_.routing.relay_rx_j_per_bit, config_.aggregation_ratio);
-    sink_.geometric = config_.routing.has_geometric_sink();
-    sink_.position = channel::Vec2{config_.routing.sink_x_m, config_.routing.sink_y_m};
-    sink_.fixed_distance_m = config_.bs_distance_m;
-    sink_.range_m = config_.channel.radio_range_m;
-  }
+  // Every long-haul leg runs through route_uplink.  A spec factory or a
+  // routing.* knob picks the planner and the cost model; otherwise they
+  // are DirectUplink and the config's first-order model toward the
+  // virtual sink, bs_distance_m from every node.
+  const bool routing_configured =
+      spec.routing || spec.uplink_energy || !config_.routing.is_default();
+  routing_ = spec.routing ? spec.routing(config_)
+                          : routing::make_routing_strategy(config_.routing.kind,
+                                                           config_.routing.max_hops);
+  uplink_energy_ = spec.uplink_energy
+                       ? spec.uplink_energy(config_)
+                       : std::make_unique<energy::FirstOrderUplinkModel>(
+                             config_.fwd_e_elec_j_per_bit, config_.fwd_eps_amp_j_per_bit_m2,
+                             config_.routing.relay_rx_j_per_bit, config_.aggregation_ratio);
+  sink_.geometric = config_.routing.has_geometric_sink();
+  sink_.position = channel::Vec2{config_.routing.sink_x_m, config_.routing.sink_y_m};
+  sink_.fixed_distance_m = config_.bs_distance_m;
+  // The paper's base station hears every node; the radio range limits
+  // the sink leg only once routing is configured.
+  sink_.range_m = routing_configured ? config_.channel.radio_range_m : 0.0;
+  // In the paper the cluster head is the sink.  A CH has a long-haul leg
+  // of its own only with forwarding switched on or routing configured.
+  ch_uplink_ = routing_configured || config_.ch_forward_enabled;
 
   // Place nodes uniformly in the square field and build them.  The hot
   // arrays are sized FIRST: nodes and queues hold raw pointers into
@@ -199,18 +204,15 @@ void Network::begin_round(double now_s) {
     active.mac->set_delivery_callback(
         [this, head_id](const queueing::Packet& packet, phy::ModeIndex mode,
                         std::uint32_t /*sender*/, double now) {
-          if (routing_) {
-            // Routed uplink subsumes ch_forward_enabled: arrival at the
-            // CH is not delivery — the aggregate still has to traverse
-            // the hop chain to the sink, and only end-of-chain success
-            // books record_delivered (a failed chain books a drop, so a
-            // packet can never count both ways).
-            route_uplink(head_id, packet, uplink_energy_->aggregated_bits(packet.payload_bits),
-                         mode, now);
-          } else {
+          // A CH without an uplink is the sink: arrival is delivery.
+          // Otherwise the aggregate still has to reach the sink, and
+          // route_uplink books it delivered or dropped, never both.
+          if (!ch_uplink_) {
             metrics_.record_delivered(packet, mode, now);
-            if (config_.ch_forward_enabled) charge_forwarding(head_id, packet, now);
+            return;
           }
+          route_uplink(head_id, packet, uplink_energy_->aggregated_bits(packet.payload_bits),
+                       mode, now);
         });
     active.mac->start(now_s);
 
@@ -223,7 +225,7 @@ void Network::begin_round(double now_s) {
     active_clusters_.push_back(std::move(active));
   }
 
-  if (routing_) rebuild_relays(clusters);
+  rebuild_relays(clusters);
 
   sim_.schedule_at(now_s + config_.round_duration_s,
                    [this](double now) { begin_round(now); });
@@ -248,14 +250,10 @@ void Network::handle_arrival(std::uint32_t id, double now_s) {
   metrics_.record_generated(id, now_s);
 
   if (!clustering_) {
-    // Clusterless protocol: the sensor uplinks straight to the sink
-    // (routed runs plan a chain — with no CHs it degenerates to one
-    // leg, but range and the pluggable cost model still apply).
-    if (routing_) {
-      route_uplink(id, packet, packet.payload_bits, 0, now_s);
-    } else {
-      deliver_direct(node, packet, now_s);
-    }
+    // Clusterless protocol: the sensor uplinks its raw observation
+    // straight to the sink.  delivered_per_mode books it under the most
+    // robust class (mode 0, the long-haul link).
+    route_uplink(id, packet, packet.payload_bits, 0, now_s);
   } else if (node.is_cluster_head()) {
     // The CH aggregates its own observation locally: no radio involved.
     metrics_.record_self_delivered(packet, now_s);
@@ -267,39 +265,7 @@ void Network::handle_arrival(std::uint32_t id, double now_s) {
   schedule_arrival(id);
 }
 
-// Direct-to-sink uplink (clusterless protocols): the node transmits the
-// whole packet straight to the base station under the same first-order
-// radio model as CH forwarding, but unaggregated — sensors send raw
-// observations.  The uplink is contention-free (every node owns its
-// slot toward the sink), so delivery always succeeds while the battery
-// lasts; delivered_per_mode books it under the most robust class (the
-// long-haul link).
-void Network::deliver_direct(Node& node, const queueing::Packet& packet, double now_s) {
-  const double cost_j = packet.payload_bits * config_.bs_uplink_j_per_bit();
-  const bool funded = node.battery().remaining_j() >= cost_j;
-  // The transmission spends whatever charge is left either way (an
-  // underfunded one kills the node), but only a fully funded uplink
-  // reaches the sink — the dying node's final packet is lost in flight,
-  // like the clustered path's mid-transmission deaths.
-  if (funded) metrics_.record_delivered(packet, 0, now_s);
-  const double drawn = node.battery().drain(cost_j, now_s);
-  node.ledger().add(energy::RadioId::kData, energy::RadioState::kTx, drawn);
-  if (!funded) metrics_.record_drop(packet, queueing::DropReason::kNodeDeath, now_s);
-}
-
-// CH -> base station forwarding cost (extension): first-order radio
-// model, charged per aggregated bit against the CH's battery/ledger.
-void Network::charge_forwarding(std::uint32_t head_id, const queueing::Packet& packet,
-                                double now_s) {
-  Node& head = *nodes_.at(head_id);
-  if (!head.alive()) return;
-  const double bits = packet.payload_bits * config_.aggregation_ratio;
-  const double joules = bits * config_.bs_uplink_j_per_bit();
-  const double drawn = head.battery().drain(joules, now_s);
-  head.ledger().add(energy::RadioId::kData, energy::RadioState::kTx, drawn);
-}
-
-// ----------------------------------------------------------- routed uplink
+// ------------------------------------------------------------------ uplink
 
 void Network::rebuild_relays(const std::vector<leach::Cluster>& clusters) {
   // The round's CHs are the relay candidates; positions come from the
@@ -334,15 +300,16 @@ bool Network::spend_rx(std::uint32_t id, double bits, double now_s) {
   return funded;
 }
 
-// Execute one routed uplink: plan the hop chain, then walk it leg by
-// leg charging true pairwise distances through the uplink energy model.
-// Contract (mirrors the direct-uplink rule): a packet is delivered iff
-// EVERY leg was fully funded — an underfunded transmit or relay receive
-// kills that node (drain clamps and fires the death callback) and the
-// packet books as a kNodeDeath drop, lost in flight.  A relay found
-// dead before its leg re-plans from the current holder; when no chain
-// can reach the sink the packet books as kUnreachable.  Never both, and
-// never a free delivery.
+// Execute one uplink: plan the hop chain, then walk it leg by leg
+// charging true pairwise distances through the uplink energy model.
+// The legs are contention-free (every sender owns its slot toward the
+// sink).  Contract: a packet is delivered iff EVERY leg was fully
+// funded — an underfunded transmit or relay receive kills that node
+// (drain clamps and fires the death callback) and the packet books as a
+// kNodeDeath drop, lost in flight.  A relay found dead before its leg
+// re-plans from the current holder; when no chain can reach the sink
+// the packet books as kUnreachable.  Never both, and never a free
+// delivery.
 void Network::route_uplink(std::uint32_t origin, const queueing::Packet& packet, double bits,
                            phy::ModeIndex mode, double now_s) {
   if (!hot_.alive[origin]) {

@@ -83,14 +83,8 @@ class Network {
   /// only after finalize()).
   [[nodiscard]] std::uint64_t collisions_total() const noexcept { return collisions_total_; }
 
-  /// Relay legs executed on routed uplinks (0 on the legacy path and
-  /// for DirectUplink — the routed-direct bench relies on that).
+  /// Relay legs executed on uplinks (always 0 under DirectUplink).
   [[nodiscard]] std::uint64_t relay_hops_total() const noexcept { return relay_hops_total_; }
-
-  /// Whether this run executes the routed uplink path (the protocol
-  /// spec carries a routing/energy factory, or any routing.* knob is
-  /// non-default).  False = the legacy byte-identical fast path.
-  [[nodiscard]] bool routed_uplink() const noexcept { return routing_ != nullptr; }
 
   /// Sum of all nodes' MAC counters (diagnostics, ablation benches).
   [[nodiscard]] mac::SensorMacCounters mac_totals() const;
@@ -127,10 +121,9 @@ class Network {
   void schedule_arrival(std::uint32_t id);
   void handle_arrival(std::uint32_t id, double now_s);
   void handle_node_death(std::uint32_t id, double now_s);
-  void charge_forwarding(std::uint32_t head_id, const queueing::Packet& packet, double now_s);
-  void deliver_direct(Node& node, const queueing::Packet& packet, double now_s);
-  /// Routed uplink: plan the hop chain from `origin` and execute it leg
-  /// by leg (per-hop energy/death booking; see network.cpp).
+  /// The one uplink executor: plan the hop chain from `origin` and
+  /// execute it leg by leg (per-hop energy/death booking; see
+  /// network.cpp).
   void route_uplink(std::uint32_t origin, const queueing::Packet& packet, double bits,
                     phy::ModeIndex mode, double now_s);
   /// Charge one transmit/receive leg against a node.  Returns whether
@@ -163,12 +156,16 @@ class Network {
   /// Built from the protocol spec's clustering factory; null for
   /// clusterless protocols (direct uplink — no rounds, no CHs).
   std::unique_ptr<leach::ClusteringStrategy> clustering_;
-  /// Routed-uplink machinery; all null/empty on the legacy fast path.
-  /// routing_ doubles as the activation flag (see routed_uplink()).
+  /// Uplink machinery, built for every run (DirectUplink, the config's
+  /// first-order model and the virtual sink unless the protocol spec or
+  /// a routing.* knob says otherwise).
   std::unique_ptr<routing::RoutingStrategy> routing_;
   std::unique_ptr<energy::UplinkEnergyModel> uplink_energy_;
   routing::SinkModel sink_;
   routing::RelaySet relays_;
+  /// Whether a CH forwards what it receives over a long-haul leg; false
+  /// = the CH is the sink (the paper's case).
+  bool ch_uplink_ = false;
 
   std::vector<std::unique_ptr<Node>> nodes_;
   // Sized before node construction and never resized, so the mirror

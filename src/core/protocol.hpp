@@ -75,9 +75,9 @@ struct ProtocolSpec {
 
   /// Builds the uplink path planner for one run.  Null means "whatever
   /// the config's routing.* knobs say" — with all-default knobs that is
-  /// the legacy single-hop fast path, byte-identical to pre-routing
-  /// artifacts.  A non-null factory (like a non-default knob) activates
-  /// the routed uplink: hop chains, per-leg energy, unreachable drops.
+  /// DirectUplink to the virtual sink.  A non-null factory (like a
+  /// non-default knob) gives every CH an uplink of its own: hop chains,
+  /// per-leg energy, unreachable drops.
   using RoutingFactory =
       std::function<std::unique_ptr<routing::RoutingStrategy>(const NetworkConfig&)>;
   /// Builds the uplink cost model for one run.  Null means the config's
@@ -89,7 +89,7 @@ struct ProtocolSpec {
   /// Display label for the routing column; empty derives from the
   /// factory (routing_label()).
   std::string routing_name;
-  RoutingFactory routing;  ///< null = config-driven (legacy direct by default)
+  RoutingFactory routing;  ///< null = config-driven (direct by default)
   std::string uplink_energy_name;
   UplinkEnergyFactory uplink_energy;  ///< null = config first-order model
 

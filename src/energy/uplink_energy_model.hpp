@@ -1,13 +1,11 @@
 // uplink_energy_model.hpp — pluggable long-haul uplink radio cost.
 //
 // The classic first-order radio model (e_elec + eps_amp * d^2 per bit)
-// used to be inlined in two places (NetworkConfig::bs_uplink_j_per_bit
-// and the clusterless direct-uplink path); it now lives here once, as
-// the free helper `first_order_j_per_bit`, and behind the
-// `UplinkEnergyModel` interface so a ProtocolSpec can substitute its
-// own radio constants, receive electronics and aggregation ratio the
-// same way it substitutes a ClusteringStrategy.  A null model on the
-// spec means "the config's first-order model" — the legacy behavior.
+// lives here once, as the free helper `first_order_j_per_bit`, and
+// behind the `UplinkEnergyModel` interface so a ProtocolSpec can
+// substitute its own radio constants, receive electronics and
+// aggregation ratio the same way it substitutes a ClusteringStrategy.
+// A null model on the spec means "the config's first-order model".
 #pragma once
 
 #include <memory>
@@ -15,8 +13,8 @@
 namespace caem::energy {
 
 /// First-order radio cost of one bit over `distance_m` (classic LEACH
-/// model).  Written as the exact expression the legacy inline used so
-/// routing the old call sites through it stays bit-identical.
+/// model).  The expression order is part of the byte-identity contract
+/// for every artifact that charges an uplink.
 [[nodiscard]] constexpr double first_order_j_per_bit(double e_elec_j_per_bit,
                                                      double eps_amp_j_per_bit_m2,
                                                      double distance_m) noexcept {
@@ -46,7 +44,7 @@ class UplinkEnergyModel {
   [[nodiscard]] virtual const char* name() const = 0;
 };
 
-/// The legacy model, parameterized: first-order TX, linear RX
+/// The default model, parameterized: first-order TX, linear RX
 /// electronics, fixed aggregation ratio.
 class FirstOrderUplinkModel final : public UplinkEnergyModel {
  public:

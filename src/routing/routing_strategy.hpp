@@ -1,16 +1,16 @@
 // routing_strategy.hpp — pluggable uplink path selection.
 //
-// When a run's uplink is routed (the protocol spec supplies a strategy
-// or the config sets any routing.* knob), every packet that reaches a
-// cluster head — or leaves a clusterless sensor — is planned into a hop
-// chain: zero or more relay CHs followed by the final leg to the sink.
+// Every long-haul leg — a clusterless sensor's packet, or a cluster
+// head's aggregate when the CH has an uplink of its own — is planned
+// into a hop chain: zero or more relay CHs followed by the final leg to
+// the sink.
 // The network executes the chain, charging each leg at its true
 // pairwise distance through the run's UplinkEnergyModel; the strategy
 // only decides the path.
 //
 // Three strategies ship:
-//   * DirectUplink     — one leg straight to the sink (legacy shape,
-//                        the default everywhere).
+//   * DirectUplink     — one leg straight to the sink (the default
+//                        everywhere).
 //   * GreedyGeographic — next hop = the alive CH closest to the sink
 //                        among those strictly closer than the current
 //                        holder, taken when it saves energy (UtilCache's
@@ -41,9 +41,8 @@ namespace caem::routing {
 
 /// Where the uplink terminates.  Geometric sinks sit at a point in the
 /// field (routing.sink_x_m/sink_y_m) so distance varies per node;
-/// the legacy virtual sink is a fixed bs_distance_m from everyone, so
-/// no relay can ever be "closer" and every strategy degenerates to
-/// direct — exactly the old physics.
+/// the virtual sink is a fixed bs_distance_m from everyone, so no relay
+/// can ever be "closer" and every strategy degenerates to direct.
 struct SinkModel {
   bool geometric = false;
   channel::Vec2 position{0.0, 0.0};  ///< valid when geometric

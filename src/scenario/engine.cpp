@@ -18,7 +18,7 @@
 
 #include "scenario/cost_model.hpp"
 #include "scenario/result_cache.hpp"
-#include "scenario/shard_manifest.hpp"
+#include "scenario/worker_report.hpp"
 #include "scenario/work_queue.hpp"
 #include "sim/kernel_stats.hpp"
 #include "util/table_writer.hpp"
@@ -458,7 +458,7 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
       result.worker_token = boards.front().token();
       result.wall_s =
           std::chrono::duration<double>(std::chrono::steady_clock::now() - started).count();
-      WorkerMarker report;
+      WorkerReport report;
       report.token = result.worker_token;
       report.host = boards.front().host();
       report.pid = static_cast<std::uint64_t>(::getpid());
@@ -468,9 +468,9 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
       report.wall_ms = result.wall_s * 1000.0;
       std::sort(stored.begin(), stored.end());
       report.stored = std::move(stored);
-      const ShardManifest manifest(spec.cache_dir, result.sweep_digest);
-      manifest.write_worker_done(report);
-      result.marker_path = manifest.worker_marker_path(result.worker_token);
+      const WorkerReports reports(spec.cache_dir, result.sweep_digest);
+      reports.write(report);
+      result.marker_path = reports.path(result.worker_token);
       // No fold: a later cached run (`caem merge`) folds the full sweep
       // from pure cache hits once the last worker exits.
       return result;

@@ -52,7 +52,7 @@ void ResultCache::store(const std::string& path, const core::RunResult& result) 
   // anyway (runs are deterministic functions of the key).  Readers
   // racing the rename see either the old complete entry or the new
   // complete entry, never a torn one — the contract the distributed
-  // shard protocol leans on (shard_manifest.hpp).
+  // worker protocol leans on (work_queue.hpp).
   util::atomic_write_file(path, core::to_json(result) + '\n', "result cache");
 }
 

@@ -65,8 +65,8 @@ class ResultCache {
   /// Cache key of one (config, protocol, seed, options) cell relative to
   /// root(): "<config digest>/<protocol>_s<seed>_h<horizon>_d<flag>.json".
   /// The ordered list of a sweep's entry keys is also the basis of the
-  /// sweep digest that claims and worker markers live under (see
-  /// scenario/shard_manifest.hpp).
+  /// sweep digest that claims and worker reports live under (see
+  /// scenario/worker_report.hpp).
   [[nodiscard]] std::string entry_key(const core::NetworkConfig& config,
                                       core::Protocol protocol, std::uint64_t seed,
                                       const core::RunOptions& options) const;

@@ -1,4 +1,4 @@
-#include "scenario/shard_manifest.hpp"
+#include "scenario/worker_report.hpp"
 
 #include <algorithm>
 #include <cctype>
@@ -44,7 +44,7 @@ std::vector<std::size_t> parse_indices(const std::string& csv) {
     const auto pos = csv.find(',', start);
     const std::string token = util::trim(
         pos == std::string::npos ? csv.substr(start) : csv.substr(start, pos - start));
-    if (!token.empty()) out.push_back(parse_size("marker job index", token));
+    if (!token.empty()) out.push_back(parse_size("report job index", token));
     if (pos == std::string::npos) break;
     start = pos + 1;
   }
@@ -53,7 +53,7 @@ std::vector<std::size_t> parse_indices(const std::string& csv) {
 
 /// worker_<sanitized token>.done — accepted loosely (any middle), the
 /// body's token field is the identity.
-bool is_worker_marker_name(const std::string& name) {
+bool is_report_name(const std::string& name) {
   constexpr const char* kPrefix = "worker_";
   constexpr const char* kSuffix = ".done";
   constexpr std::size_t kPrefixLen = 7;
@@ -85,41 +85,41 @@ std::string sweep_digest(const std::vector<std::string>& job_keys) {
   return util::content_digest(canon.str());
 }
 
-ShardManifest::ShardManifest(const std::string& cache_root, const std::string& sweep)
+WorkerReports::WorkerReports(const std::string& cache_root, const std::string& sweep)
     : sweep_(sweep), dir_((fs::path(cache_root) / "sweeps" / sweep).string()) {
-  if (cache_root.empty()) throw std::invalid_argument("ShardManifest: empty cache directory");
-  if (sweep.empty()) throw std::invalid_argument("ShardManifest: empty sweep digest");
+  if (cache_root.empty()) throw std::invalid_argument("WorkerReports: empty cache directory");
+  if (sweep.empty()) throw std::invalid_argument("WorkerReports: empty sweep digest");
 }
 
-std::string ShardManifest::worker_marker_path(const std::string& token) const {
+std::string WorkerReports::path(const std::string& token) const {
   return (fs::path(dir_) / ("worker_" + sanitize_token(token) + ".done")).string();
 }
 
-void ShardManifest::write_worker_done(const WorkerMarker& marker) const {
-  if (marker.token.empty()) {
-    throw std::invalid_argument("worker marker: empty token");
+void WorkerReports::write(const WorkerReport& report) const {
+  if (report.token.empty()) {
+    throw std::invalid_argument("worker report: empty token");
   }
   std::ostringstream body;
   body << "v = 1\n"
        << "sweep = " << sweep_ << '\n'
-       << "token = " << marker.token << '\n'
-       << "host = " << marker.host << '\n'
-       << "pid = " << marker.pid << '\n'
-       << "total_jobs = " << marker.total_jobs << '\n'
-       << "cache_hits = " << marker.cache_hits << '\n'
-       << "stolen = " << marker.stolen << '\n'
-       << "wall_ms = " << marker.wall_ms << '\n'
-       << "stored = " << join_indices(marker.stored) << '\n';
-  util::atomic_write_file(worker_marker_path(marker.token), body.str(), "worker manifest");
+       << "token = " << report.token << '\n'
+       << "host = " << report.host << '\n'
+       << "pid = " << report.pid << '\n'
+       << "total_jobs = " << report.total_jobs << '\n'
+       << "cache_hits = " << report.cache_hits << '\n'
+       << "stolen = " << report.stolen << '\n'
+       << "wall_ms = " << report.wall_ms << '\n'
+       << "stored = " << join_indices(report.stored) << '\n';
+  util::atomic_write_file(path(report.token), body.str(), "worker report");
 }
 
-std::vector<WorkerMarker> ShardManifest::collect_workers() const {
-  std::vector<WorkerMarker> markers;
+std::vector<WorkerReport> WorkerReports::collect() const {
+  std::vector<WorkerReport> reports;
   std::error_code error;
   fs::directory_iterator it(dir_, error);
-  if (error) return markers;  // no sweep dir yet: no worker has finished
+  if (error) return reports;  // no sweep dir yet: no worker has finished
   for (const fs::directory_entry& entry : it) {
-    if (!is_worker_marker_name(entry.path().filename().string())) continue;
+    if (!is_report_name(entry.path().filename().string())) continue;
     std::ifstream in(entry.path(), std::ios::binary);
     if (!in) continue;
     std::ostringstream buffer;
@@ -128,24 +128,24 @@ std::vector<WorkerMarker> ShardManifest::collect_workers() const {
       const util::Config config = util::Config::from_text(buffer.str());
       if (config.get_int("v", -1) != 1) continue;
       if (config.get_string("sweep", "") != sweep_) continue;
-      WorkerMarker marker;
-      marker.token = config.get_string("token", "");
-      if (marker.token.empty()) continue;
-      marker.host = config.get_string("host", "");
-      marker.pid = static_cast<std::uint64_t>(config.get_int("pid", 0));
-      marker.total_jobs = parse_size("worker total_jobs", config.get_string("total_jobs", "0"));
-      marker.cache_hits = parse_size("worker cache_hits", config.get_string("cache_hits", "0"));
-      marker.stolen = parse_size("worker stolen", config.get_string("stolen", "0"));
-      marker.wall_ms = config.get_double("wall_ms", 0.0);
-      marker.stored = parse_indices(config.get_string("stored", ""));
-      markers.push_back(std::move(marker));
+      WorkerReport report;
+      report.token = config.get_string("token", "");
+      if (report.token.empty()) continue;
+      report.host = config.get_string("host", "");
+      report.pid = static_cast<std::uint64_t>(config.get_int("pid", 0));
+      report.total_jobs = parse_size("worker total_jobs", config.get_string("total_jobs", "0"));
+      report.cache_hits = parse_size("worker cache_hits", config.get_string("cache_hits", "0"));
+      report.stolen = parse_size("worker stolen", config.get_string("stolen", "0"));
+      report.wall_ms = config.get_double("wall_ms", 0.0);
+      report.stored = parse_indices(config.get_string("stored", ""));
+      reports.push_back(std::move(report));
     } catch (const std::exception&) {
       continue;  // torn/corrupt report: telemetry only, skip it
     }
   }
-  std::sort(markers.begin(), markers.end(),
-            [](const WorkerMarker& a, const WorkerMarker& b) { return a.token < b.token; });
-  return markers;
+  std::sort(reports.begin(), reports.end(),
+            [](const WorkerReport& a, const WorkerReport& b) { return a.token < b.token; });
+  return reports;
 }
 
 }  // namespace caem::scenario

@@ -1,4 +1,4 @@
-// shard_manifest.hpp — sweep identity and per-worker telemetry markers.
+// worker_report.hpp — sweep identity and per-worker telemetry reports.
 //
 // A distributed sweep has no control plane: the shared result-cache
 // directory is the only coordination substrate (the UtilCache idea — a
@@ -37,7 +37,7 @@ namespace caem::scenario {
 /// (work_queue.hpp) already settled ownership cell by cell — it is pure
 /// telemetry: which cells this worker actually drained and at what
 /// cost.
-struct WorkerMarker {
+struct WorkerReport {
   std::string token;                ///< ClaimBoard token (host:pid:nonce-…)
   std::string host;
   std::uint64_t pid = 0;
@@ -48,26 +48,27 @@ struct WorkerMarker {
   std::vector<std::size_t> stored;  ///< job indices this worker executed and stored
 };
 
-/// Marker I/O rooted at `<cache-dir>/sweeps/<sweep digest>/`.  Markers
+/// Report I/O rooted at `<cache-dir>/sweeps/<sweep digest>/`.  Reports
 /// are plain `key = value` text (util::Config syntax) written with the
 /// same write-then-rename discipline as cache entries; anything
 /// unreadable, unparseable, or stamped with a different sweep digest
 /// reads as absent, never as data.
-class ShardManifest {
+class WorkerReports {
  public:
-  ShardManifest(const std::string& cache_root, const std::string& sweep);
+  WorkerReports(const std::string& cache_root, const std::string& sweep);
 
   [[nodiscard]] const std::string& dir() const noexcept { return dir_; }
 
-  [[nodiscard]] std::string worker_marker_path(const std::string& token) const;
+  /// `worker_<sanitized token>.done` under dir().
+  [[nodiscard]] std::string path(const std::string& token) const;
 
   /// Atomically publish a worker's completion report (creates the sweep
   /// dir).  Throws std::runtime_error on an unwritable path and
   /// std::invalid_argument on an empty token.
-  void write_worker_done(const WorkerMarker& marker) const;
+  void write(const WorkerReport& report) const;
 
   /// Every valid worker report present for this sweep, sorted by token.
-  [[nodiscard]] std::vector<WorkerMarker> collect_workers() const;
+  [[nodiscard]] std::vector<WorkerReport> collect() const;
 
  private:
   std::string sweep_;

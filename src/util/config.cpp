@@ -63,22 +63,15 @@ Config Config::from_args(const std::vector<std::string>& tokens) {
 
 namespace {
 
-/// Parse one logical line ('#' comment already possible, CRLF tolerated
-/// via trim).  Returns false on a blank/comment-only line.
-void parse_config_line(Config& config, const std::string& raw, const std::string& where) {
-  std::string line = raw;
-  const auto hash = line.find('#');
-  if (hash != std::string::npos) line.erase(hash);
-  line = trim(line);
-  if (line.empty()) return;
-  const auto eq = line.find('=');
-  if (eq == std::string::npos) {
-    throw std::invalid_argument("Config: expected key = value" + where + ", got '" + line + "'");
-  }
-  config.set(trim(line.substr(0, eq)), trim(line.substr(eq + 1)));
+/// Strip a '#' comment and surrounding whitespace (CRLF included).
+std::string strip_line(const std::string& raw) {
+  const auto hash = raw.find('#');
+  return trim(hash == std::string::npos ? raw : raw.substr(0, hash));
 }
 
-void parse_file_into(Config& config, const std::filesystem::path& path, int depth) {
+bool is_include(const std::string& stripped) { return stripped.rfind("include ", 0) == 0; }
+
+void resolve_into(std::string& out, const std::filesystem::path& path, int depth) {
   if (depth > 8) {
     throw std::invalid_argument("Config: include depth exceeded at '" + path.string() +
                                 "' (cycle?)");
@@ -87,23 +80,19 @@ void parse_file_into(Config& config, const std::filesystem::path& path, int dept
   if (!in) {
     throw std::invalid_argument("Config: cannot open file '" + path.string() + "'");
   }
-  const std::string where = " in " + path.string();
   std::string line;
   while (std::getline(in, line)) {
-    // Strip comments before testing for an include so a commented-out
+    // Comments are stripped before the test, so a commented-out
     // directive stays inert.
-    std::string stripped = line;
-    const auto hash = stripped.find('#');
-    if (hash != std::string::npos) stripped.erase(hash);
-    stripped = trim(stripped);
-    if (stripped.rfind("include ", 0) == 0) {
+    const std::string stripped = strip_line(line);
+    if (is_include(stripped)) {
       const std::filesystem::path target = trim(stripped.substr(8));
-      const std::filesystem::path resolved =
-          target.is_absolute() ? target : path.parent_path() / target;
-      parse_file_into(config, resolved, depth + 1);
+      resolve_into(out, target.is_absolute() ? target : path.parent_path() / target,
+                   depth + 1);
       continue;
     }
-    parse_config_line(config, line, where);
+    out += line;
+    out += '\n';
   }
 }
 
@@ -112,15 +101,38 @@ void parse_file_into(Config& config, const std::filesystem::path& path, int dept
 Config Config::from_text(const std::string& text) {
   Config config;
   std::istringstream in(text);
-  std::string line;
-  while (std::getline(in, line)) parse_config_line(config, line, "");
+  std::string raw;
+  for (std::size_t number = 1; std::getline(in, raw); ++number) {
+    const std::string line = strip_line(raw);
+    if (line.empty()) continue;
+    const std::string where = "Config: line " + std::to_string(number) + ": ";
+    if (is_include(line)) {
+      throw std::invalid_argument(where + "'" + line +
+                                  "' is not resolved (inline included files first)");
+    }
+    const auto eq = line.find('=');
+    if (eq == std::string::npos) {
+      throw std::invalid_argument(where + "expected key = value, got '" + line + "'");
+    }
+    config.set(trim(line.substr(0, eq)), trim(line.substr(eq + 1)));
+  }
   return config;
 }
 
+std::string Config::resolve_includes(const std::string& path) {
+  std::string text;
+  resolve_into(text, std::filesystem::path(path), 0);
+  return text;
+}
+
 Config Config::from_file(const std::string& path) {
-  Config config;
-  parse_file_into(config, std::filesystem::path(path), 0);
-  return config;
+  const std::string text = resolve_includes(path);
+  try {
+    return from_text(text);
+  } catch (const std::invalid_argument& error) {
+    throw std::invalid_argument(std::string(error.what()) + " (in " + path +
+                                ", includes inlined)");
+  }
 }
 
 void Config::set(const std::string& key, const std::string& value) {

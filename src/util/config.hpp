@@ -3,8 +3,11 @@
 // Examples and benchmarks accept `key=value` command-line overrides so a
 // user can sweep parameters without recompiling; this class parses and
 // type-checks them.  Scenario files (see scenario/) load through
-// `from_file`, which adds comments, `include` directives and CRLF
-// tolerance on top of the same syntax.
+// `from_file`: `resolve_includes` inlines their `include` directives
+// into one self-contained text, which `from_text` parses (comments and
+// CRLF tolerated).  Text that crosses a process boundary, like a
+// `caem submit` body, is always resolved first, so the receiver never
+// opens a path it was sent.
 //
 // Thread-safety contract: the typed getters are `const` but record which
 // keys were read (for `unconsumed()` typo detection).  That bookkeeping
@@ -41,13 +44,19 @@ class Config {
 
   /// Parse newline-separated `key = value` text ('#' starts a comment,
   /// CRLF line endings are tolerated, empty values are allowed, a
-  /// duplicated key keeps the last value).
+  /// duplicated key keeps the last value).  An `include` line is an
+  /// error naming its line number: text must be resolved first.
   static Config from_text(const std::string& text);
 
-  /// Parse a file with `from_text` semantics plus `include <path>`
-  /// directives (paths resolve relative to the including file; included
-  /// keys can be overridden by later lines).  Throws
+  /// The file at `path` as one self-contained text: each `include
+  /// <path>` directive (resolved relative to the including file) is
+  /// replaced by the included file's own resolved text, so included
+  /// keys can be overridden by later lines.  Throws
   /// std::invalid_argument on a missing file or an include cycle.
+  static std::string resolve_includes(const std::string& path);
+
+  /// `from_text(resolve_includes(path))`; a parse error also names
+  /// `path` (its line number counts lines of the resolved text).
   static Config from_file(const std::string& path);
 
   void set(const std::string& key, const std::string& value);

@@ -120,8 +120,23 @@ TEST(Config, FromFileWithIncludesAndOverrides) {
   EXPECT_EQ(config.get_int("shared", 0), 1);
   EXPECT_EQ(config.get_string("overridden", ""), "from_main");
   EXPECT_EQ(config.size(), 2u);
+  // from_file is from_text of one self-contained text: the resolved
+  // text parses alone, to the same entries.
+  const std::string resolved = Config::resolve_includes((dir / "main.cfg").string());
+  EXPECT_EQ(Config::from_text(resolved).entries(), config.entries());
   EXPECT_THROW((void)Config::from_file((dir / "absent.cfg").string()), std::invalid_argument);
   fs::remove_all(dir);
+}
+
+TEST(Config, FromTextRejectsAnUnresolvedIncludeNamingTheLine) {
+  try {
+    (void)Config::from_text("# header\na = 1\ninclude common.scn\n");
+    FAIL() << "an include line was accepted";
+  } catch (const std::invalid_argument& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("line 3"), std::string::npos) << what;
+    EXPECT_NE(what.find("'include common.scn'"), std::string::npos) << what;
+  }
 }
 
 TEST(Config, FromFileRejectsIncludeCycles) {

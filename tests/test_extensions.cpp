@@ -50,6 +50,21 @@ TEST(Forwarding, ConservationHoldsWithForwarding) {
   }
 }
 
+TEST(Forwarding, UnfundedForwardIsADeathDropNeverADelivery) {
+  // A base station 100 km out prices every forward far beyond a full
+  // battery: each CH dies on its first forward, and that packet books as
+  // a kNodeDeath drop.  A CH delivery counts only once its forward is
+  // paid for.
+  RunOptions options;
+  options.max_sim_s = 25.0;
+  NetworkConfig config = small_config();
+  config.ch_forward_enabled = true;
+  config.bs_distance_m = 1e5;
+  const RunResult result = SimulationRunner::run(config, protocol_from_string("leach"), 9, options);
+  EXPECT_EQ(result.delivered_air, 0u);
+  EXPECT_GT(result.dropped_death, 0u);
+}
+
 TEST(Deadline, ProtocolPlumbing) {
   const Protocol deadline = protocol_from_string("deadline");
   EXPECT_STREQ(to_string(deadline), "caem-deadline");

@@ -1,6 +1,7 @@
-// Tests for the routed uplink layer: the three RoutingStrategy
-// implementations as pure planners, the network's chain execution
-// (unreachable drops, per-hop energy, conservation under partition),
+// Tests for the uplink layer: the three RoutingStrategy implementations
+// as pure planners, the network's one uplink executor (byte-identity of
+// the default paths, unreachable drops, per-hop energy, conservation
+// under partition, greedy beating direct at a corner sink),
 // and the pluggability contract — a runtime-registered protocol with
 // GreedyGeographic and a custom UplinkEnergyModel driven through
 // run_scenario with every relay leg priced by the custom model and
@@ -8,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <memory>
@@ -17,6 +19,7 @@
 #include "core/config.hpp"
 #include "core/network.hpp"
 #include "core/protocol.hpp"
+#include "core/run_result_io.hpp"
 #include "core/simulation_runner.hpp"
 #include "energy/energy_ledger.hpp"
 #include "energy/uplink_energy_model.hpp"
@@ -24,6 +27,7 @@
 #include "routing/routing_strategy.hpp"
 #include "scenario/engine.hpp"
 #include "scenario/scenario_spec.hpp"
+#include "util/digest.hpp"
 
 namespace caem::routing {
 namespace {
@@ -239,7 +243,6 @@ TEST(RoutedNetwork, PartitionedNetworkDropsUnreachableNeverDeliversFree) {
   config.routing.sink_y_m = 1000.0;
 
   core::Network network(config, core::protocol_from_string("caem-scheme1"), 11);
-  EXPECT_TRUE(network.routed_uplink());
   network.start();
   network.simulator().run_until(25.0);
   network.finalize();
@@ -256,12 +259,62 @@ TEST(RoutedNetwork, PartitionedNetworkDropsUnreachableNeverDeliversFree) {
   EXPECT_EQ(metrics.generated(), metrics.delivered_total() + metrics.dropped_total() + queued);
 }
 
-TEST(RoutedNetwork, LegacyConfigStaysOnTheUnroutedFastPath) {
+TEST(RoutedNetwork, DefaultUplinkRunResultsArePinnedByteForByte) {
+  // Every long-haul leg runs through route_uplink.  With all routing
+  // knobs at their defaults the paper's clustered run (the CH is the
+  // sink) and the clusterless direct uplink (DirectUplink to the virtual
+  // sink) must serialize to exactly the bytes the earlier unrouted
+  // implementation produced; the FNV-1a pins were recorded from it.
+  core::RunOptions options;
+  options.max_sim_s = 30.0;
+  const core::NetworkConfig config;
+  const core::RunResult clustered = core::SimulationRunner::run(
+      config, core::protocol_from_string("caem-scheme1"), 2005, options);
+  const core::RunResult direct =
+      core::SimulationRunner::run(config, core::protocol_from_string("direct"), 2005, options);
+  EXPECT_EQ(util::content_digest(core::to_json(clustered)), "768d9034abedf2cd");
+  EXPECT_EQ(util::content_digest(core::to_json(direct)), "0f2554bbf0d95059");
+  EXPECT_EQ(clustered.relay_hops, 0u);
+  EXPECT_EQ(direct.relay_hops, 0u);
+}
+
+TEST(RoutedNetwork, ChForwardingConfigsAloneChangeTheirDigest) {
+  // CH forwarding books a delivery only once the CH has paid for the
+  // forward, so ch_forward_enabled=1 results moved: those configs render
+  // sim-semantics=2 and no stale cache entry can serve the old numbers.
+  // Every other config keeps its text and digest.
+  const core::NetworkConfig base;
+  EXPECT_EQ(base.digest(), "d5cc9acc34aeb055");
+  EXPECT_NE(base.canonical_text().find("sim-semantics=1\n"), std::string::npos);
+  core::NetworkConfig forward = base;
+  forward.ch_forward_enabled = true;
+  EXPECT_NE(forward.canonical_text().find("sim-semantics=2\n"), std::string::npos);
+  EXPECT_NE(forward.digest(), "7050b94269eb52c8");  // its digest before the change
+  EXPECT_NE(forward.digest(), base.digest());
+}
+
+TEST(RoutedNetwork, GreedyDeliversMoreThanDirectAtTheCornerSink) {
+  // Sink at the corner of a 200 m field with a 150 m radio: the far
+  // part of the network cannot reach it in one leg.  Direct books those
+  // uplinks as unreachable; greedy relays them through closer CHs.
   core::NetworkConfig config;
-  config.node_count = 10;
-  core::Network network(config, core::protocol_from_string("caem-scheme1"), 1);
-  EXPECT_FALSE(network.routed_uplink());
-  EXPECT_EQ(network.relay_hops_total(), 0u);
+  config.node_count = 100;
+  config.field_size_m = 200.0;
+  config.ch_fraction = 0.08;
+  config.channel.radio_range_m = 150.0;
+  config.routing.sink_x_m = 0.0;
+  config.routing.sink_y_m = 0.0;
+  core::RunOptions options;
+  options.max_sim_s = 60.0;
+  const core::Protocol scheme1 = core::protocol_from_string("caem-scheme1");
+
+  config.routing.kind = "direct";
+  const core::RunResult direct = core::SimulationRunner::run(config, scheme1, 2005, options);
+  config.routing.kind = "greedy";
+  const core::RunResult greedy = core::SimulationRunner::run(config, scheme1, 2005, options);
+  EXPECT_GT(direct.dropped_unreachable, 0u);
+  EXPECT_GT(greedy.relay_hops, 0u);
+  EXPECT_GT(greedy.delivered_air, direct.delivered_air);
 }
 
 // ---- the pluggability contract, end to end ----
@@ -272,9 +325,10 @@ struct CountingModel final : energy::UplinkEnergyModel {
   // Planning probes (the greedy benefit rule) price a single bit;
   // execution prices whole packets.  bits > 1 therefore separates the
   // legs actually charged from the what-if probes.
-  static inline std::uint64_t tx_calls = 0;
-  static inline std::uint64_t rx_exec_calls = 0;
-  static inline double rx_exec_joules = 0.0;
+  // Atomic: parallel scenario lanes price legs concurrently.
+  static inline std::atomic<std::uint64_t> tx_calls{0};
+  static inline std::atomic<std::uint64_t> rx_exec_calls{0};
+  static inline std::atomic<double> rx_exec_joules{0.0};
 
   static constexpr double kTxJPerBit = 60e-9;  // flat: distance-free economics
   static constexpr double kRxJPerBit = 55e-9;
@@ -286,7 +340,7 @@ struct CountingModel final : energy::UplinkEnergyModel {
   double rx_cost_j(double bits) const override {
     if (bits > 1.0) {
       ++rx_exec_calls;
-      rx_exec_joules += bits * kRxJPerBit;
+      rx_exec_joules.fetch_add(bits * kRxJPerBit);
     }
     return bits * kRxJPerBit;
   }
@@ -337,7 +391,6 @@ TEST(RoutedNetwork, CustomModelPricesEveryRelayLegIntoTheLedger) {
   CountingModel::rx_exec_joules = 0.0;
 
   core::Network network(corner_field_config(), counting_greedy_protocol(), 2005);
-  ASSERT_TRUE(network.routed_uplink());
   network.start();
   network.simulator().run_until(30.0);  // short horizon: nobody dies
   network.finalize();
@@ -347,8 +400,8 @@ TEST(RoutedNetwork, CustomModelPricesEveryRelayLegIntoTheLedger) {
   // With no deaths, every executed relay leg was priced by exactly one
   // whole-packet rx_cost_j call — per-hop energy goes through the
   // custom model, hop for hop.
-  EXPECT_EQ(CountingModel::rx_exec_calls, network.relay_hops_total());
-  EXPECT_GE(CountingModel::tx_calls, network.relay_hops_total());
+  EXPECT_EQ(CountingModel::rx_exec_calls.load(), network.relay_hops_total());
+  EXPECT_GE(CountingModel::tx_calls.load(), network.relay_hops_total());
 
   // The custom model's joules are real: the relays' data radios carry
   // at least the priced receive energy in their itemised ledgers (MAC
@@ -359,8 +412,8 @@ TEST(RoutedNetwork, CustomModelPricesEveryRelayLegIntoTheLedger) {
     rx_ledger_j +=
         network.node(i).ledger().entry(energy::RadioId::kData, energy::RadioState::kRx);
   }
-  EXPECT_GT(CountingModel::rx_exec_joules, 0.0);
-  EXPECT_GE(rx_ledger_j, CountingModel::rx_exec_joules * (1.0 - 1e-12));
+  EXPECT_GT(CountingModel::rx_exec_joules.load(), 0.0);
+  EXPECT_GE(rx_ledger_j, CountingModel::rx_exec_joules.load() * (1.0 - 1e-12));
 }
 
 TEST(RoutedNetwork, RegisteredRoutedProtocolRunsThroughRunScenario) {

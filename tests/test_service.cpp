@@ -276,6 +276,20 @@ TEST(SweepService, ErrorBodiesEscapeControlBytes) {
   fs::remove_all(store);
 }
 
+TEST(SweepService, IncludeInBodyIsRejectedNamingTheLine) {
+  // Clients inline includes before submitting; the service never opens
+  // a path it was sent, so a leftover directive is a 400 naming it.
+  const fs::path store = scratch_dir("include_store");
+  SweepService service(serve_config(store));
+  const HttpResponse rejected = service.handle(
+      make_request("POST", "/sweeps", "scenario.name = x\ninclude fig9_nodes_alive.scn\n"));
+  EXPECT_EQ(rejected.status, 400);
+  EXPECT_TRUE(contains(rejected.body, "line 2")) << rejected.body;
+  EXPECT_TRUE(contains(rejected.body, "include fig9_nodes_alive.scn")) << rejected.body;
+  service.stop();
+  fs::remove_all(store);
+}
+
 TEST(SweepService, QueuedSweepCancelsImmediatelyAndGatesArtifacts) {
   const fs::path store = scratch_dir("cancel_store");
   SweepService service(serve_config(store));
@@ -349,12 +363,16 @@ TEST(SweepService, TinyBudgetNeverBreaksAnInFlightSweep) {
 
 // --------------------------------------------------------- cache janitor
 
-/// Store one synthetic entry and stamp it with `touches`.
+/// Store one synthetic entry and stamp it with `touches`; `trace_points`
+/// pads its nodes_alive trace to make the entry larger on disk.
 std::string seed_entry(const scenario::ResultCache& cache, const fs::path& store,
                        const std::string& digest, const std::string& name, double wall_ms,
-                       std::uint64_t touches) {
+                       std::uint64_t touches, std::size_t trace_points = 0) {
   core::RunResult result;
   result.wall_ms = wall_ms;
+  for (std::size_t i = 0; i < trace_points; ++i) {
+    result.nodes_alive.add(static_cast<double>(i), 100.0);
+  }
   const std::string path = (store / digest / (name + ".json")).string();
   cache.store(path, result);
   for (std::uint64_t i = 0; i < touches; ++i) cache.touch(path);
@@ -364,35 +382,49 @@ std::string seed_entry(const scenario::ResultCache& cache, const fs::path& store
 TEST(CacheJanitor, EvictsLowestUtilityFirstUntilUnderBudget) {
   const fs::path store = scratch_dir("janitor_order");
   const scenario::ResultCache cache(store.string());
-  // Utility = touches x wall_ms / bytes; bytes are near-equal here, so
-  // the order is: never-touched (0) < cheap-and-touched < dear-and-touched.
+  // Utility = touches x wall_ms / bytes.  The order is: never-touched
+  // (0) < cheap-and-touched < bulky < dear-and-touched, where bulky has
+  // dear's touches and wall time but many times its bytes.
   const std::string untouched =
       seed_entry(cache, store, "aaaaaaaaaaaaaaaa", "leach_s1_h8_d0", 1000.0, 0);
   const std::string cheap = seed_entry(cache, store, "bbbbbbbbbbbbbbbb", "leach_s2_h8_d0", 10.0, 5);
   const std::string dear = seed_entry(cache, store, "cccccccccccccccc", "leach_s3_h8_d0", 1000.0, 5);
+  const std::string bulky =
+      seed_entry(cache, store, "dddddddddddddddd", "leach_s4_h8_d0", 1000.0, 5, 2000);
 
   std::uint64_t total = 0;
-  std::uint64_t largest = 0;
+  std::uint64_t dear_bytes = 0;
+  std::uint64_t bulky_bytes = 0;
   for (const scenario::CacheEntryInfo& entry : cache.enumerate()) {
     total += entry.bytes;
-    largest = std::max(largest, entry.bytes);
+    if (entry.path == dear) dear_bytes = entry.bytes;
+    if (entry.path == bulky) bulky_bytes = entry.bytes;
   }
   ASSERT_GT(total, 0u);
+  // cheap < bulky < dear: bulky outweighs dear in bytes, but by less
+  // than the 100x wall time that separates dear from cheap.
+  ASSERT_GT(bulky_bytes, dear_bytes);
+  ASSERT_LT(bulky_bytes, 100 * dear_bytes);
 
   // Budget just below the full size: exactly one eviction suffices, and
   // it must be the zero-utility entry.
   CacheJanitor one_out(store.string(), total - 1);
   const JanitorReport first = one_out.sweep_once();
-  EXPECT_EQ(first.entries, 3u);
+  EXPECT_EQ(first.entries, 4u);
   EXPECT_EQ(first.evicted, 1u);
   EXPECT_FALSE(fs::exists(untouched));
   EXPECT_TRUE(fs::exists(cheap));
   EXPECT_TRUE(fs::exists(dear));
+  EXPECT_TRUE(fs::exists(bulky));
 
-  // Budget of one entry: of the two survivors the cheap one goes next.
-  CacheJanitor two_out(store.string(), largest);
-  (void)two_out.sweep_once();
+  // Budget of dear alone: one sweep evicts cheap, then bulky, and stops.
+  // Ranking by touches x wall_ms without the byte divisor would tie
+  // bulky with dear and evict dear (the smaller key) first.
+  CacheJanitor two_out(store.string(), dear_bytes);
+  const JanitorReport second = two_out.sweep_once();
+  EXPECT_EQ(second.evicted, 2u);
   EXPECT_FALSE(fs::exists(cheap));
+  EXPECT_FALSE(fs::exists(bulky));
   EXPECT_TRUE(fs::exists(dear));
   EXPECT_FALSE(fs::exists(scenario::ResultCache::touch_path(cheap)));  // sidecar went too
 

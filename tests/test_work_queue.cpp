@@ -26,7 +26,7 @@
 #include "scenario/engine.hpp"
 #include "scenario/result_cache.hpp"
 #include "scenario/scenario_spec.hpp"
-#include "scenario/shard_manifest.hpp"
+#include "scenario/worker_report.hpp"
 #include "scenario/sweep.hpp"
 #include "scenario/work_queue.hpp"
 
@@ -499,10 +499,10 @@ TEST(ShardCache, ConcurrentStoresOnOneCellNeverTearReads) {
 
 TEST(Manifest, WorkerMarkerRoundTripAndDisjointCensus) {
   const fs::path dir = scratch_dir("worker_marker");
-  const ShardManifest manifest(dir.string(), kSweep);
-  EXPECT_TRUE(manifest.collect_workers().empty());
+  const WorkerReports reports(dir.string(), kSweep);
+  EXPECT_TRUE(reports.collect().empty());
 
-  WorkerMarker marker;
+  WorkerReport marker;
   marker.token = "box-a:4242:0-cafe";
   marker.host = "box-a";
   marker.pid = 4242;
@@ -511,16 +511,16 @@ TEST(Manifest, WorkerMarkerRoundTripAndDisjointCensus) {
   marker.stolen = 1;
   marker.wall_ms = 1234.5;
   marker.stored = {2, 5, 6};
-  manifest.write_worker_done(marker);
+  reports.write(marker);
 
   // Other files in the sweep dir — claims, anything not named
   // worker_*.done — never enter the census.
-  fs::create_directories(fs::path(manifest.dir()) / "claims");
-  std::ofstream(fs::path(manifest.dir()) / "claims" / "job_0.claim", std::ios::trunc)
+  fs::create_directories(fs::path(reports.dir()) / "claims");
+  std::ofstream(fs::path(reports.dir()) / "claims" / "job_0.claim", std::ios::trunc)
       << "v = 1\nsweep = " << kSweep << "\njob = 0\ntoken = t\n";
-  std::ofstream(fs::path(manifest.dir()) / "notes.done", std::ios::trunc) << "v = 1\n";
+  std::ofstream(fs::path(reports.dir()) / "notes.done", std::ios::trunc) << "v = 1\n";
 
-  const auto workers = manifest.collect_workers();
+  const auto workers = reports.collect();
   ASSERT_EQ(workers.size(), 1u);
   EXPECT_EQ(workers[0].token, marker.token);  // exact, despite filename sanitising
   EXPECT_EQ(workers[0].host, "box-a");
@@ -532,16 +532,16 @@ TEST(Manifest, WorkerMarkerRoundTripAndDisjointCensus) {
   EXPECT_EQ(workers[0].stored, (std::vector<std::size_t>{2, 5, 6}));
 
   // The ':' characters never reach the filesystem name.
-  EXPECT_EQ(manifest.worker_marker_path(marker.token).find(':'), std::string::npos);
+  EXPECT_EQ(reports.path(marker.token).find(':'), std::string::npos);
 
   // Corrupt and foreign-sweep reports are skipped, never data.
-  std::ofstream(fs::path(manifest.dir()) / "worker_torn.done", std::ios::trunc) << "v = 1\npid = x";
-  std::ofstream(fs::path(manifest.dir()) / "worker_foreign.done", std::ios::trunc)
+  std::ofstream(fs::path(reports.dir()) / "worker_torn.done", std::ios::trunc) << "v = 1\npid = x";
+  std::ofstream(fs::path(reports.dir()) / "worker_foreign.done", std::ios::trunc)
       << "v = 1\nsweep = 0000000000000000\ntoken = ghost\nstored = \n";
-  EXPECT_EQ(manifest.collect_workers().size(), 1u);
+  EXPECT_EQ(reports.collect().size(), 1u);
 
-  WorkerMarker anonymous;  // empty token would be unaddressable
-  EXPECT_THROW(manifest.write_worker_done(anonymous), std::invalid_argument);
+  WorkerReport anonymous;  // empty token would be unaddressable
+  EXPECT_THROW(reports.write(anonymous), std::invalid_argument);
   fs::remove_all(dir);
 }
 
@@ -672,8 +672,8 @@ std::set<std::size_t> drain_with_workers(ScenarioSpec spec, const fs::path& cach
     EXPECT_EQ(result.cache_misses, result.executed_jobs);
     EXPECT_EQ(result.claims_stolen, 0u);  // nobody crashed: no steals
     EXPECT_TRUE(fs::exists(result.marker_path));
-    const auto markers = ShardManifest(spec.cache_dir, result.sweep_digest).collect_workers();
-    const auto mine = std::find_if(markers.begin(), markers.end(), [&](const WorkerMarker& m) {
+    const auto markers = WorkerReports(spec.cache_dir, result.sweep_digest).collect();
+    const auto mine = std::find_if(markers.begin(), markers.end(), [&](const WorkerReport& m) {
       return m.token == result.worker_token;
     });
     if (mine == markers.end()) {
@@ -724,7 +724,7 @@ TEST(Worker, ConcurrentWorkersPlusMergeMatchSingleProcessByteForByte) {
   // byte-identical to the uncached reference.
   expect_merge_matches(spec, cache_dir, ref, "worker");
   const ResultCache cache(cache_dir.string());
-  EXPECT_EQ(ShardManifest(cache_dir.string(), digest_of(spec, cache)).collect_workers().size(),
+  EXPECT_EQ(WorkerReports(cache_dir.string(), digest_of(spec, cache)).collect().size(),
             kWorkers);
   fs::remove_all(ref_dir);
   fs::remove_all(cache_dir);
