@@ -25,14 +25,6 @@ Network::Network(NetworkConfig config, Protocol protocol, std::uint64_t seed)
   // virtual sink, bs_distance_m from every node.
   const bool routing_configured =
       spec.routing || spec.uplink_energy || !config_.routing.is_default();
-  routing_ = spec.routing ? spec.routing(config_)
-                          : routing::make_routing_strategy(config_.routing.kind,
-                                                           config_.routing.max_hops);
-  uplink_energy_ = spec.uplink_energy
-                       ? spec.uplink_energy(config_)
-                       : std::make_unique<energy::FirstOrderUplinkModel>(
-                             config_.fwd_e_elec_j_per_bit, config_.fwd_eps_amp_j_per_bit_m2,
-                             config_.routing.relay_rx_j_per_bit, config_.aggregation_ratio);
   sink_.geometric = config_.routing.has_geometric_sink();
   sink_.position = channel::Vec2{config_.routing.sink_x_m, config_.routing.sink_y_m};
   sink_.fixed_distance_m = config_.bs_distance_m;
@@ -42,6 +34,18 @@ Network::Network(NetworkConfig config, Protocol protocol, std::uint64_t seed)
   // In the paper the cluster head is the sink.  A CH has a long-haul leg
   // of its own only with forwarding switched on or routing configured.
   ch_uplink_ = routing_configured || config_.ch_forward_enabled;
+  // When every CH is the sink no node ever uplinks, so the run allocates
+  // nothing for it: its heap matches a network built without an uplink.
+  if (ch_uplink_ || !clustering_) {
+    routing_ = spec.routing ? spec.routing(config_)
+                            : routing::make_routing_strategy(config_.routing.kind,
+                                                             config_.routing.max_hops);
+    uplink_energy_ = spec.uplink_energy
+                         ? spec.uplink_energy(config_)
+                         : std::make_unique<energy::FirstOrderUplinkModel>(
+                               config_.fwd_e_elec_j_per_bit, config_.fwd_eps_amp_j_per_bit_m2,
+                               config_.routing.relay_rx_j_per_bit, config_.aggregation_ratio);
+  }
 
   // Place nodes uniformly in the square field and build them.  The hot
   // arrays are sized FIRST: nodes and queues hold raw pointers into
@@ -225,7 +229,10 @@ void Network::begin_round(double now_s) {
     active_clusters_.push_back(std::move(active));
   }
 
-  rebuild_relays(clusters);
+  // Relays are consulted only by uplinks that leave a CH.  When the CH
+  // is the sink, building them would be per-round allocation churn that
+  // nothing reads.
+  if (ch_uplink_) rebuild_relays(clusters);
 
   sim_.schedule_at(now_s + config_.round_duration_s,
                    [this](double now) { begin_round(now); });

@@ -156,9 +156,12 @@ class Network {
   /// Built from the protocol spec's clustering factory; null for
   /// clusterless protocols (direct uplink — no rounds, no CHs).
   std::unique_ptr<leach::ClusteringStrategy> clustering_;
-  /// Uplink machinery, built for every run (DirectUplink, the config's
-  /// first-order model and the virtual sink unless the protocol spec or
-  /// a routing.* knob says otherwise).
+  /// Uplink machinery (DirectUplink, the config's first-order model and
+  /// the virtual sink unless the protocol spec or a routing.* knob says
+  /// otherwise).  The planner and cost model are built for every run in
+  /// which some node uplinks — clusterless protocols and CHs with an
+  /// uplink — and are null when every CH is the sink; relays_ is filled
+  /// only for CHs with an uplink.
   std::unique_ptr<routing::RoutingStrategy> routing_;
   std::unique_ptr<energy::UplinkEnergyModel> uplink_energy_;
   routing::SinkModel sink_;
