@@ -1,8 +1,8 @@
 // caem — unified scenario runner for the CAEM reproduction harness.
 //
 //   caem run <scenario.scn> [flags] [key=value ...]     run a sweep
-//   caem merge <scenario.scn> [flags] [key=value ...]   complete + fold a worker sweep
-//   caem expand <scenario.scn> [key=value ...]          print the grid, run nothing
+//   caem expand <scenario.scn> [key=value ...]          print the grid and the
+//                                                       resolved text, run nothing
 //   caem protocols                                      list the protocol registry
 //   caem serve serve.store_dir=<dir> [serve.* ...]      long-running sweep service
 //   caem submit <scenario.scn> [--wait] [key=value ...] POST a sweep to the service
@@ -10,25 +10,29 @@
 //   caem fetch <id> <path> [--out=<file>]               download a finished artifact
 //   caem help                                           usage
 //
-// Flags:
+// Flags (run):
 //   --cache-dir=<dir> | --cache-dir <dir>   digest-keyed result cache:
 //       cells already computed for the same (config digest, protocol,
-//       seed, horizon) load instead of executing
+//       seed, horizon) load instead of executing.  Any number of runs
+//       of one sweep may share the dir at once: they drain one claim
+//       queue, longest-expected-first, and each folds the whole sweep
+//       once every cell is stored
 //   --no-cache                              ignore the cache entirely
-//   --worker             (run) dynamic distributed worker: drain the
-//       sweep's one shared queue by claiming cells in the cache dir,
-//       longest-expected-first; exits when every cell is cached
-//   --lease=<secs>       (run --worker) claim staleness horizon: a
-//       claim unrefreshed this long is presumed crashed and stolen
-//   --progress[=secs]    (run/merge) periodic one-line drain report on
-//       stderr: cells done/total, hit/executed split, cells/s, ETA
+//   --lease=<secs>       (cached run) claim staleness horizon: a claim
+//       unrefreshed this long is presumed crashed and stolen
+//   --progress[=secs]    periodic one-line drain report on stderr:
+//       cells done/total, hit/executed split, cells/s, ETA
+//
+// SIGINT/SIGTERM stop a run between cells: the cells in flight finish
+// (and, cached, are stored and their claims released), then it prints
+// `interrupted` and exits 130.  A second signal terminates at once.
 //
 // Overrides use the scenario-file namespace (scenario.*, sweep.*,
 // output.*, or any NetworkConfig key).  Unknown keys are fatal: a typo
-// must never silently run the wrong experiment.  Every process of a
-// distributed launch (and the merge) must receive the SAME overrides —
-// config-affecting overrides change the sweep digest, and mismatched
-// workers would simply work on different sweeps.
+// must never silently run the wrong experiment.  Every run sharing a
+// sweep must receive the SAME config-affecting overrides — they change
+// the sweep digest, and mismatched runs would simply drain different
+// sweeps.
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -45,7 +49,6 @@
 #include "core/protocol.hpp"
 #include "scenario/engine.hpp"
 #include "scenario/scenario_spec.hpp"
-#include "scenario/worker_report.hpp"
 #include "scenario/work_queue.hpp"
 #include "service/http_endpoint.hpp"
 #include "service/sweep_service.hpp"
@@ -56,11 +59,13 @@
 namespace {
 
 /// SIGINT/SIGTERM latch.  The handler only sets the flag (the one
-/// async-signal-safe thing worth doing); `caem serve` and `caem run
-/// --worker` poll it — the worker through ScenarioSpec::cancel, so an
-/// interrupted drain finishes its current cell, releases its claim,
-/// still writes its telemetry marker, and exits instead of leaving a
-/// stale claim for peers to wait a whole lease on.
+/// async-signal-safe thing worth doing); `caem serve` polls it and
+/// `caem run` passes it as ScenarioSpec::cancel, so an interrupted
+/// drain finishes its current cells, releases its claims and exits
+/// instead of leaving a stale claim for peers to wait a whole lease on.
+/// The handler is one-shot (SA_RESETHAND): a second signal takes the
+/// default action and ends a process whose cells are too slow to wait
+/// for.
 std::atomic<bool> g_interrupted{false};
 /// Posted by the handler after the latch is set (sem_post is
 /// async-signal-safe; notifying a condition variable is not).
@@ -73,12 +78,13 @@ void install_interrupt_handler() {
     g_interrupted.store(true);
     ::sem_post(&g_interrupt_posted);
   };
+  action.sa_flags = SA_RESETHAND;
   sigemptyset(&action.sa_mask);
   ::sigaction(SIGINT, &action, nullptr);
   ::sigaction(SIGTERM, &action, nullptr);
 }
 
-/// Carries the latch to a worker blocked on peers' claims: waits for
+/// Carries the latch to a drain blocked on peers' claims: waits for
 /// the handler's post, then wakes every claim waiter so the drain sees
 /// the flag now rather than at its next filesystem poll.  Destruction
 /// posts once more to end the thread when no signal came.
@@ -104,11 +110,9 @@ class InterruptWaker {
 int usage(std::ostream& out, int exit_code) {
   out << "usage:\n"
          "  caem run <scenario.scn> [flags] [key=value ...]  run the sweep\n"
-         "  caem merge <scenario.scn> --cache-dir=<dir> [flags] [key=value ...]\n"
-         "                      complete a worker sweep: run any cell the cache still\n"
-         "                      misses, fold from the cache, print the worker census\n"
          "  caem expand <scenario.scn> [key=value ...]       show grid points (and each one's\n"
-         "                      cache directory) without running\n"
+         "                      cache directory) and the resolved scenario text\n"
+         "                      `caem submit` would post, without running\n"
          "  caem protocols      list registered protocols (scenario.protocols accepts any\n"
          "                      name or alias shown there)\n"
          "  caem serve serve.store_dir=<dir> [serve.port=0] [serve.store_budget_bytes=N]\n"
@@ -129,31 +133,50 @@ int usage(std::ostream& out, int exit_code) {
          "                      download one artifact of a finished sweep (stdout by default)\n"
          "  caem help\n"
          "\n"
-         "flags (run/merge):\n"
+         "flags (run):\n"
          "  --cache-dir=<dir>   reuse cached results keyed by (config digest, protocol,\n"
-         "                      seed); only cells absent from the cache execute\n"
-         "  --no-cache          neither read nor write the cache (run only)\n"
-         "  --worker            run only: dynamic distributed worker against the shared\n"
-         "                      cache dir; drains the sweep's ONE queue by claiming cells\n"
-         "                      (crash-safe leases: a dead worker's cells are stolen, not\n"
-         "                      orphaned), longest-expected-first; exits once every cell\n"
-         "                      of the sweep is cached, defers folding to `caem merge`\n"
-         "  --lease=<secs>      with --worker: claim staleness horizon (default 30);\n"
-         "                      claims are refreshed every lease/3 while computing\n"
-         "  --progress[=secs]   run/merge: one-line progress report to stderr every\n"
-         "                      <secs> (default 5) while draining: cells done/total,\n"
+         "                      seed); only cells absent from the cache execute, each\n"
+         "                      claimed in the dir (crash-safe leases) and stored as it\n"
+         "                      finishes.  Concurrent runs of one sweep share the drain,\n"
+         "                      longest-expected-first, and each folds the whole sweep\n"
+         "  --no-cache          neither read nor write the cache\n"
+         "  --lease=<secs>      cached runs: claim staleness horizon (default 30); claims\n"
+         "                      are refreshed every lease/3 while computing\n"
+         "  --progress[=secs]   one-line progress report to stderr every <secs>\n"
+         "                      (default 5) while draining: cells done/total,\n"
          "                      hit/executed split, cells/s, ETA\n"
+         "SIGINT/SIGTERM stop a run after its cells in flight (stored and released when\n"
+         "cached) and exit 130; a second signal ends it at once.\n"
          "\n"
          "overrides share the scenario-file namespace, e.g.\n"
          "  caem run examples/scenarios/fig10_lifetime_vs_load.scn scenario.reps=4 \\\n"
          "      sweep.traffic_rate_pps=list:5,15 output.csv=out.csv output.trace=traces \\\n"
          "      node_count=50\n"
          "\n"
-         "a distributed launch runs the same scenario + overrides on every worker, e.g.\n"
-         "  for i in 1 2 3; do caem run sweep.scn --worker --cache-dir=cache & done\n"
-         "  wait; caem merge sweep.scn --cache-dir=cache\n"
-         "(scripts/worker_sweep.sh wraps exactly this)\n";
+         "several processes (or hosts, on a shared filesystem) drain one sweep with the\n"
+         "same scenario + overrides; outputs off on all but one, and any of them, or a\n"
+         "later run, folds:\n"
+         "  for i in 1 2; do caem run sweep.scn --cache-dir=cache output.csv= \\\n"
+         "      output.json= output.trace= & done\n"
+         "  caem run sweep.scn --cache-dir=cache; wait\n";
   return exit_code;
+}
+
+/// The self-contained scenario text `caem submit` posts and `caem
+/// expand` prints: the file with its includes inlined (the daemon never
+/// opens a path it was sent), then each override appended as an
+/// assignment — last assignment wins, the `caem run` override rule.
+std::string resolved_text(const std::string& path, const std::vector<std::string>& overrides) {
+  std::string body = caem::util::Config::resolve_includes(path);
+  if (overrides.empty()) return body;
+  body += "\n# appended overrides (last assignment wins)\n";
+  for (const std::string& token : overrides) {
+    if (token.find('=') == std::string::npos) {
+      throw std::invalid_argument("override '" + token + "' is not key=value");
+    }
+    body += token + "\n";
+  }
+  return body;
 }
 
 caem::scenario::ScenarioSpec load_spec(const std::vector<std::string>& tokens,
@@ -172,7 +195,6 @@ caem::scenario::ScenarioSpec load_spec(const std::vector<std::string>& tokens,
 struct CliArgs {
   std::string cache_dir;
   bool no_cache = false;
-  bool worker = false;
   double lease_s = -1.0;     ///< < 0 = flag absent (spec default applies)
   double progress_s = 0.0;   ///< 0 = off; --progress without a value = 5 s
   std::vector<std::string> overrides;
@@ -189,6 +211,12 @@ double parse_seconds(const std::string& flag, const std::string& text) {
   return *value;
 }
 
+/// --cache-dir's directory; an empty one would silently run uncached.
+std::string parse_cache_dir(const std::string& text) {
+  if (text.empty()) throw std::invalid_argument("--cache-dir expects a directory, got ''");
+  return text;
+}
+
 CliArgs parse_cli(int argc, char** argv, int first) {
   CliArgs args;
   for (int i = first; i < argc; ++i) {
@@ -197,11 +225,9 @@ CliArgs parse_cli(int argc, char** argv, int first) {
       args.no_cache = true;
     } else if (token == "--cache-dir") {
       if (i + 1 >= argc) throw std::invalid_argument("--cache-dir needs a directory argument");
-      args.cache_dir = argv[++i];
+      args.cache_dir = parse_cache_dir(argv[++i]);
     } else if (token.rfind("--cache-dir=", 0) == 0) {
-      args.cache_dir = token.substr(12);
-    } else if (token == "--worker") {
-      args.worker = true;
+      args.cache_dir = parse_cache_dir(token.substr(12));
     } else if (token == "--lease") {
       if (i + 1 >= argc) throw std::invalid_argument("--lease needs a seconds argument");
       args.lease_s = parse_seconds("--lease", argv[++i]);
@@ -229,84 +255,41 @@ void print_banner(const caem::scenario::ScenarioSpec& spec, std::ostream& out) {
     out << "cache: " << spec.cache_dir << (spec.use_cache ? "" : " (disabled by --no-cache)")
         << "\n";
   }
-  if (spec.worker_mode) {
-    out << "worker: dynamic claiming, lease " << caem::util::format_fixed(spec.lease_s, 0)
-        << " s (cells drain longest-expected-first; exits when the sweep is fully cached)\n";
-  }
 }
 
-int run_command(int argc, char** argv, bool merge) {
+int run_command(int argc, char** argv) {
   const CliArgs cli = parse_cli(argc, argv, 3);
   caem::scenario::ScenarioSpec spec = load_spec(cli.overrides, argv[2]);
   if (!cli.cache_dir.empty()) spec.cache_dir = cli.cache_dir;
   if (cli.no_cache) spec.use_cache = false;
-  if (merge && cli.worker) {
-    throw std::invalid_argument("'caem merge' folds the sweep; --worker does not apply");
+  const bool cached = !spec.cache_dir.empty() && spec.use_cache;
+  if (cli.lease_s >= 0.0) {
+    if (!cached) throw std::invalid_argument("--lease only applies to a cached run (--cache-dir)");
+    spec.lease_s = cli.lease_s;
   }
-  if (merge && (spec.cache_dir.empty() || !spec.use_cache)) {
-    throw std::invalid_argument(
-        "'caem merge' folds a sweep from its shared cache: pass --cache-dir (and drop "
-        "--no-cache)");
-  }
-  if (cli.lease_s >= 0.0 && !cli.worker) {
-    throw std::invalid_argument("--lease only applies to `caem run --worker`");
-  }
-  spec.worker_mode = cli.worker;
-  if (cli.lease_s > 0.0) spec.lease_s = cli.lease_s;
   spec.progress_s = cli.progress_s;
-  std::optional<InterruptWaker> waker;
-  if (spec.worker_mode) {
-    // A worker killed mid-drain used to leave its current claim behind
-    // until a peer waited out the whole lease.  Latch SIGINT/SIGTERM
-    // into the cooperative-cancel hook instead: the worker finishes the
-    // cell it holds, releases the claim, writes its telemetry marker
-    // and exits 130 — nothing for the survivors to steal.
-    install_interrupt_handler();
-    spec.cancel = &g_interrupted;
-    waker.emplace();
-  }
+  // SIGINT/SIGTERM latch into the cooperative-cancel hook: the run
+  // finishes the cells it holds, stores them, releases their claims and
+  // exits 130 — nothing left for peers or the next run to steal.
+  caem::scenario::ProgressSink drained;
+  spec.progress_sink = &drained;
+  install_interrupt_handler();
+  spec.cancel = &g_interrupted;
+  const InterruptWaker waker;
   print_banner(spec, std::cout);
   std::cout << "\n";
-  const caem::scenario::ScenarioResult result = caem::scenario::run_scenario(spec);
-  if (result.worker_mode && result.cancelled) {
-    std::cout << "worker " << result.worker_token << ": interrupted — stopped after "
-              << result.executed_jobs << " cell(s) executed, " << result.cache_hits
-              << " found cached; held claim released, marker written\n"
-              << "marker: " << result.marker_path << "\n"
-              << "wall clock: " << caem::util::format_fixed(result.wall_s, 2) << " s\n";
+  caem::scenario::ScenarioResult result;
+  try {
+    result = caem::scenario::run_scenario(spec);
+  } catch (const caem::scenario::SweepCancelled&) {
+    std::cout << "interrupted: " << drained.executed.load() << " cell(s) executed, "
+              << drained.hits.load() << " found cached, of " << drained.total.load();
+    if (cached) {
+      std::cout << "; claims released, finished cells stored in " << spec.cache_dir
+                << " (rerun to resume)";
+    }
+    std::cout << "\n";
     return 130;
-  }
-  if (result.worker_mode) {
-    // Partial run: the fold and the artifacts belong to the merge step.
-    std::cout << "worker " << result.worker_token << ": " << result.executed_jobs
-              << " cell(s) executed, " << result.cache_hits << " found cached, "
-              << result.claims_stolen << " stale claim(s) stolen\n"
-              << "marker: " << result.marker_path << "\n"
-              << "artifacts deferred: fold with `caem merge " << argv[2]
-              << " --cache-dir=" << spec.cache_dir << "` once all workers are done\n";
-    std::cout << "wall clock: " << caem::util::format_fixed(result.wall_s, 2) << " s for "
-              << result.executed_jobs << " executed job(s)\n";
-    return 0;
-  }
-  if (merge) {
-    // Straggler telemetry: who drained what, and how long the slowest
-    // worker — the sweep's critical path — actually took.
-    const std::vector<caem::scenario::WorkerReport> workers =
-        caem::scenario::WorkerReports(spec.cache_dir, result.sweep_digest).collect();
-    const caem::scenario::WorkerReport* straggler = nullptr;
-    for (const caem::scenario::WorkerReport& w : workers) {
-      std::cout << "  worker " << w.token << ": " << w.stored.size() << " executed, "
-                << w.cache_hits << " hits, " << w.stolen << " stolen, "
-                << caem::util::format_fixed(w.wall_ms / 1000.0, 2) << " s\n";
-      if (straggler == nullptr || w.wall_ms > straggler->wall_ms) straggler = &w;
-    }
-    if (straggler == nullptr) {
-      std::cout << "merge: no worker reports for this sweep\n";
-    } else {
-      std::cout << "merge: " << workers.size() << " worker report(s); straggler "
-                << straggler->token << " at "
-                << caem::util::format_fixed(straggler->wall_ms / 1000.0, 2) << " s\n";
-    }
   }
   caem::scenario::summary_table(result).render(std::cout);
   std::cout << "\n";
@@ -357,13 +340,11 @@ int expand_command(int argc, char** argv) {
   const char* offending = nullptr;
   if (!cli.cache_dir.empty()) offending = "--cache-dir";
   else if (cli.no_cache) offending = "--no-cache";
-  else if (cli.worker) offending = "--worker";
   else if (cli.lease_s >= 0.0) offending = "--lease";
   else if (cli.progress_s > 0.0) offending = "--progress";
   if (offending != nullptr) {
     throw std::invalid_argument(std::string(offending) +
-                                " only applies to 'caem run' or 'caem merge' "
-                                "(expand executes no jobs)");
+                                " only applies to 'caem run' (expand executes no jobs)");
   }
   const caem::scenario::ScenarioSpec spec = load_spec(cli.overrides, argv[2]);
   print_banner(spec, std::cout);
@@ -374,6 +355,10 @@ int expand_command(int argc, char** argv) {
     std::cout << "  [" << point.index << "] " << caem::scenario::describe(point)
               << "  (cells: " << spec.config_at(point).digest() << "/)\n";
   }
+  // What the daemon would run: everything after this marker line is
+  // the exact body `caem submit` posts for the same arguments.
+  std::cout << "\n# resolved scenario text (the body `caem submit` posts):\n"
+            << resolved_text(argv[2], cli.overrides);
   return 0;
 }
 
@@ -484,22 +469,11 @@ int submit_command(int argc, char** argv) {
     } else if (token.rfind("--", 0) == 0) {
       throw std::invalid_argument("unknown flag '" + token + "'");
     } else {
-      if (token.find('=') == std::string::npos) {
-        throw std::invalid_argument("override '" + token + "' is not key=value");
-      }
       overrides.push_back(token);
     }
   }
+  const std::string body = resolved_text(path, overrides);
   const std::uint16_t port = resolve_port(port_text, store_dir);
-
-  // The daemon parses the body as self-contained text and never opens a
-  // path it was sent, so includes are inlined here, on the client.
-  std::string body = caem::util::Config::resolve_includes(path);
-  if (!overrides.empty()) {
-    // Same override semantics as `caem run`: appended assignments win.
-    body += "\n# appended by caem submit (last assignment wins)\n";
-    for (const std::string& token : overrides) body += token + "\n";
-  }
 
   const caem::service::HttpResponse created =
       caem::service::http_request(port, "POST", "/sweeps", body);
@@ -604,7 +578,7 @@ int main(int argc, char** argv) {
   if (command == "help" || command == "--help" || command == "-h") {
     return usage(std::cout, 0);
   }
-  if (command != "run" && command != "merge" && command != "expand" &&
+  if (command != "run" && command != "expand" &&
       command != "protocols" && command != "serve" && command != "submit" &&
       command != "status" && command != "fetch") {
     return usage(std::cerr, 2);
@@ -616,9 +590,7 @@ int main(int argc, char** argv) {
     }
     return protocols_command();
   }
-  if ((command == "run" || command == "merge" || command == "expand" ||
-       command == "submit") &&
-      argc < 3) {
+  if ((command == "run" || command == "expand" || command == "submit") && argc < 3) {
     std::cerr << "caem " << command << ": missing scenario file\n";
     return usage(std::cerr, 2);
   }
@@ -633,7 +605,7 @@ int main(int argc, char** argv) {
     if (command == "submit") return submit_command(argc, argv);
     if (command == "status") return status_command(argc, argv);
     if (command == "fetch") return fetch_command(argc, argv);
-    return run_command(argc, argv, command == "merge");
+    return run_command(argc, argv);
   } catch (const std::exception& error) {
     std::cerr << "caem " << command << ": " << error.what() << "\n";
     return 1;

@@ -6,11 +6,11 @@
 #include <condition_variable>
 #include <exception>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <mutex>
 #include <numeric>
 #include <ostream>
+#include <sstream>
 #include <stdexcept>
 #include <thread>
 
@@ -18,9 +18,9 @@
 
 #include "scenario/cost_model.hpp"
 #include "scenario/result_cache.hpp"
-#include "scenario/worker_report.hpp"
 #include "scenario/work_queue.hpp"
 #include "sim/kernel_stats.hpp"
+#include "util/atomic_file.hpp"
 #include "util/table_writer.hpp"
 #include "util/time_series.hpp"
 
@@ -179,13 +179,6 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
 
   result.total_jobs = grid.size() * protocol_count * reps;
   result.cache_enabled = !spec.cache_dir.empty() && spec.use_cache;
-  result.worker_mode = spec.worker_mode;
-  if (spec.worker_mode && !result.cache_enabled) {
-    throw std::invalid_argument(
-        "--worker requires the result cache — the shared cache directory is the coordination "
-        "substrate workers drain through (set --cache-dir/scenario.cache_dir and drop "
-        "--no-cache)");
-  }
   if (result.cache_enabled && !(spec.lease_s > 0.0)) {
     throw std::invalid_argument("--lease must be a positive number of seconds");
   }
@@ -199,10 +192,10 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
                                        spec.base_seed + c.rep, spec.options);
   };
 
-  // Live drain counters for --progress, the worker report, and any
-  // embedding host (caem serve) watching through spec.progress_sink.
-  // Scan hits are added before the drain starts; executions tick as
-  // they finish on whatever thread ran them.
+  // Live drain counters for --progress and any embedding host (caem
+  // serve, the CLI's interrupt report) watching through
+  // spec.progress_sink.  Scan hits are added before the drain starts;
+  // executions tick as they finish on whatever thread ran them.
   ProgressSink local_sink;
   ProgressSink& sink = spec.progress_sink != nullptr ? *spec.progress_sink : local_sink;
   sink.total.store(result.total_jobs);
@@ -293,14 +286,13 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
     };
 
     // Scan: hits fill their fold slot and never enter the queue.
-    const bool fold = !spec.worker_mode;
-    if (fold) runs.resize(result.total_jobs);
+    runs.resize(result.total_jobs);
     std::vector<std::size_t> todo;
     for (std::size_t i = 0; i < result.total_jobs; ++i) {
       if (std::optional<core::RunResult> hit = cache.load(paths[i])) {
         observe_entry(i, *hit);
         note_hit(paths[i]);
-        if (fold) runs[i] = std::move(*hit);
+        runs[i] = std::move(*hit);
         ++result.cache_hits;
       } else {
         todo.push_back(i);
@@ -331,7 +323,7 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
     }
 
     struct Lane {
-      std::vector<std::size_t> stored;  ///< cells this lane executed and stored
+      std::size_t stored = 0;           ///< cells this lane executed and stored
       std::size_t hits = 0;             ///< cells it found stored mid-drain
       bool stopped = false;             ///< left cells unresolved (cancel or a sibling's error)
       std::exception_ptr error;
@@ -359,7 +351,7 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
         note_hit(paths[job]);
         ++out.hits;
         hit_count.fetch_add(1);
-        if (fold) runs[job] = std::move(hit);
+        runs[job] = std::move(hit);
       };
       try {
         std::vector<std::size_t> pending = queue;
@@ -370,14 +362,16 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
           bool progressed = false;
           std::vector<std::size_t> blocked;
           for (const std::size_t job : pending) {
+            if (first_pass && taken[job].exchange(true)) continue;  // a sibling lane's
             // Cooperative stop between cells (never mid-cell: a started
             // cell completes and stores — stopping never wastes work
-            // already done, and no claim is held here).
+            // already done, and no claim is held here).  Checked only
+            // on a cell this lane owns, so a stop after the last cell
+            // started leaves nothing unresolved and the run still folds.
             if (cancel_requested() || failed.load()) {
               out.stopped = true;
               break;
             }
-            if (first_pass && taken[job].exchange(true)) continue;  // a sibling lane's
             if (std::optional<core::RunResult> hit = cache.load(paths[job])) {
               settle_hit(job, *hit);
               progressed = true;
@@ -409,8 +403,8 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
               throw;
             }
             board.release(job);
-            out.stored.push_back(job);
-            if (fold) runs[job] = std::move(run);
+            ++out.stored;
+            runs[job] = std::move(run);
             progressed = true;
           }
           sink.stolen.fetch_add(board.stolen() - stolen_reported);
@@ -442,40 +436,17 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
     }
     reporter.stop();
 
-    std::vector<std::size_t> stored;
+    bool stopped = false;
     for (std::size_t k = 0; k < lanes; ++k) {
       const Lane& lane = lane_results[k];
       if (lane.error) std::rethrow_exception(lane.error);
-      stored.insert(stored.end(), lane.stored.begin(), lane.stored.end());
+      result.executed_jobs += lane.stored;
       result.cache_hits += lane.hits;
-      result.cancelled = result.cancelled || lane.stopped;
+      stopped = stopped || lane.stopped;
       result.claims_stolen += boards[k].stolen();
     }
-    result.executed_jobs = stored.size();
-
-    if (spec.worker_mode) {
-      result.cache_misses = result.executed_jobs;
-      result.worker_token = boards.front().token();
-      result.wall_s =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - started).count();
-      WorkerReport report;
-      report.token = result.worker_token;
-      report.host = boards.front().host();
-      report.pid = static_cast<std::uint64_t>(::getpid());
-      report.total_jobs = result.total_jobs;
-      report.cache_hits = result.cache_hits;
-      report.stolen = result.claims_stolen;
-      report.wall_ms = result.wall_s * 1000.0;
-      std::sort(stored.begin(), stored.end());
-      report.stored = std::move(stored);
-      const WorkerReports reports(spec.cache_dir, result.sweep_digest);
-      reports.write(report);
-      result.marker_path = reports.path(result.worker_token);
-      // No fold: a later cached run (`caem merge`) folds the full sweep
-      // from pure cache hits once the last worker exits.
-      return result;
-    }
-    if (result.cancelled) throw SweepCancelled();
+    // Every claim is released by now and every finished cell stored.
+    if (stopped) throw SweepCancelled();
   }
   result.cache_misses = result.executed_jobs;
 
@@ -542,9 +513,9 @@ namespace {
 
 void write_with(const util::TableWriter& table, const std::string& path, const char* what,
                 void (util::TableWriter::*render)(std::ostream&) const, std::ostream& log) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error(std::string("cannot write ") + what + " to '" + path + "'");
+  std::ostringstream out;
   (table.*render)(out);
+  util::atomic_write_file(path, out.str(), what);
   log << "wrote " << what << ": " << path << "\n";
 }
 
@@ -582,8 +553,7 @@ void write_trace_artifacts(const ScenarioResult& result, const ScenarioSpec& spe
       const fs::path path = fs::path(spec.trace_dir) /
                             ("p" + std::to_string(point.point.index) + "_" +
                              core::to_string(entry.protocol) + ".csv");
-      std::ofstream out(path);
-      if (!out) throw std::runtime_error("cannot write trace to '" + path.string() + "'");
+      std::ostringstream out;
       out << "# scenario " << result.scenario_name << ": " << describe(point.point)
           << "; protocol " << core::to_string(entry.protocol) << "; reps " << runs.size()
           << "\n";
@@ -593,6 +563,7 @@ void write_trace_artifacts(const ScenarioResult& result, const ScenarioSpec& spe
             << util::format_full(energy_mean.points()[i].value) << ','
             << util::format_full(alive_mean.points()[i].value) << '\n';
       }
+      util::atomic_write_file(path.string(), out.str(), "trace");
       log << "wrote trace: " << path.string() << "\n";
     }
   }

@@ -14,12 +14,12 @@
 //
 //   * uncached — core::parallel_runs_ordered over the cost order, all
 //     in memory;
-//   * claimed — every cached run (`caem run --cache-dir`, `caem merge`,
-//     the service's drains and fold, `caem run --worker`).  Cells are
-//     claimed in the shared cache dir (scenario/work_queue.hpp) and
-//     stored the moment they finish, so any number of processes can
-//     drain one sweep together and an interrupted run keeps every cell
-//     it completed.  A worker stops there; every other run folds.
+//   * claimed — every cached run (`caem run --cache-dir`, the service's
+//     drains).  Cells are claimed in the shared cache dir
+//     (scenario/work_queue.hpp) and stored the moment they finish, so
+//     any number of processes can drain one sweep together and an
+//     interrupted run keeps every cell it completed.  Every run that
+//     drains to the end folds the whole sweep.
 #pragma once
 
 #include <atomic>
@@ -46,10 +46,9 @@ struct ProgressSink {
   std::atomic<std::size_t> stolen{0};  ///< stale claims stolen (claimed drains)
 };
 
-/// Thrown by a folding run_scenario when ScenarioSpec::cancel flips
-/// mid-drain, after its held claims are released; the cells it already
-/// finished stay stored.  (A worker returns a partial result flagged
-/// `cancelled` instead — it holds distributed state worth reporting.)
+/// Thrown by run_scenario when ScenarioSpec::cancel flips mid-drain,
+/// after its held claims are released; in a cached run the cells it
+/// already finished stay stored.
 class SweepCancelled : public std::runtime_error {
  public:
   SweepCancelled() : std::runtime_error("sweep cancelled") {}
@@ -82,26 +81,14 @@ struct ScenarioResult {
   /// process stored them — executed_jobs the cells it simulated, and
   /// cache_misses == executed_jobs.  A run that drains to completion
   /// therefore has cache_hits + executed_jobs == total_jobs, and
-  /// summing executed_jobs over every process of a distributed launch
+  /// summing executed_jobs over every process draining one sweep
   /// reconstructs the sweep's miss count.
   std::size_t cache_hits = 0;
   std::size_t cache_misses = 0;
   std::size_t executed_jobs = 0;
   double wall_s = 0.0;  ///< end-to-end engine time (expansion + runs + fold)
   std::string sweep_digest;  ///< job-list digest (set whenever the cache is on)
-
-  // -- worker mode (see scenario/work_queue.hpp) --
-  /// Worker run: this process drained the shared claim queue and
-  /// published a telemetry marker; points stays empty (a later cached
-  /// run — `caem merge` — folds).
-  bool worker_mode = false;
-  std::string worker_token;       ///< token of the worker's first claim board
-  std::string marker_path;        ///< telemetry marker the worker published
   std::size_t claims_stolen = 0;  ///< stale/corrupt claims this process stole
-  /// Worker mode only: spec.cancel flipped mid-drain; held claims were
-  /// released, the telemetry marker written, and this result covers
-  /// only the cells resolved before the stop.
-  bool cancelled = false;
 };
 
 /// Decomposed flattened job index: job i is replication `rep` of
@@ -129,9 +116,12 @@ struct JobCoords {
 /// scenario/work_queue.hpp) and storing each cell as it finishes.  The
 /// drain ends once every cell is stored — by this process or by any
 /// peer draining the same sweep — so a peer's crash delays nothing
-/// beyond one lease.  spec.worker_mode then publishes a telemetry
-/// marker and returns without folding; every other run folds the whole
-/// sweep, rendering byte-identically to an uncached run.
+/// beyond one lease.  The run then folds the whole sweep, rendering
+/// byte-identically to an uncached run.
+///
+/// A raised spec.cancel stops either drain between cells: cells in
+/// flight finish (and, cached, are stored and their claims released),
+/// then SweepCancelled is thrown.
 ///
 /// Both drains take cells in descending expected cost (LPT): a-priori
 /// node_count x horizon, refined by the measured wall_ms of cache
@@ -151,8 +141,11 @@ struct JobCoords {
 /// Write spec-requested artifacts: CSV/JSON of the summary table, plus —
 /// when spec.trace_dir is set — one per-(point, protocol) time-series
 /// CSV (`t_s, avg_remaining_energy_j, nodes_alive`, replication-mean,
-/// spec.trace_points samples over the cell's simulated span).  Logs each
-/// written path to `log`.  Throws on unwritable paths.
+/// spec.trace_points samples over the cell's simulated span).  Every
+/// file is published by write-then-rename (util::atomic_write_file), so
+/// concurrent runs folding one sweep into the same paths never leave a
+/// torn file.  Logs each written path to `log`.  Throws on unwritable
+/// paths.
 void write_outputs(const ScenarioResult& result, const ScenarioSpec& spec, std::ostream& log);
 
 }  // namespace caem::scenario

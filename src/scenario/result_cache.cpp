@@ -47,12 +47,12 @@ std::optional<core::RunResult> ResultCache::load(const std::string& path) const 
 void ResultCache::store(const std::string& path, const core::RunResult& result) const {
   // Publish-by-rename (util::atomic_write_file) so a crash mid-write
   // leaves no half-entry under the final name, and two writers racing
-  // on the same cell — two sweeps, or two workers — leave one valid
-  // entry: whoever renames last wins, and both wrote identical bytes
+  // on the same cell — two sweeps, or two runs of one sweep — leave one
+  // valid entry: whoever renames last wins, and both wrote identical bytes
   // anyway (runs are deterministic functions of the key).  Readers
   // racing the rename see either the old complete entry or the new
-  // complete entry, never a torn one — the contract the distributed
-  // worker protocol leans on (work_queue.hpp).
+  // complete entry, never a torn one — the contract the claim drain
+  // leans on (work_queue.hpp).
   util::atomic_write_file(path, core::to_json(result) + '\n', "result cache");
 }
 
@@ -87,7 +87,7 @@ std::vector<CacheEntryInfo> ResultCache::enumerate() const {
   for (const fs::directory_entry& digest_dir : digests) {
     if (!digest_dir.is_directory(error) || error) continue;
     const std::string digest = digest_dir.path().filename().string();
-    // "sweeps" holds worker markers and claims, "artifacts" rendered
+    // "sweeps" holds claims, "artifacts" rendered
     // outputs (caem serve) — coordination state, not result entries.
     if (digest == "sweeps" || digest == "artifacts") continue;
     fs::directory_iterator cells(digest_dir.path(), error);

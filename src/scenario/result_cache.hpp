@@ -65,8 +65,10 @@ class ResultCache {
   /// Cache key of one (config, protocol, seed, options) cell relative to
   /// root(): "<config digest>/<protocol>_s<seed>_h<horizon>_d<flag>.json".
   /// The ordered list of a sweep's entry keys is also the basis of the
-  /// sweep digest that claims and worker reports live under (see
-  /// scenario/worker_report.hpp).
+  /// sweep digest that claims live under (see scenario/work_queue.hpp).
+  /// Each stored entry carries its executor's `exec_host`, `exec_pid`
+  /// and `wall_ms`, so who computed which cell, and at what cost, is
+  /// read from the cache itself.
   [[nodiscard]] std::string entry_key(const core::NetworkConfig& config,
                                       core::Protocol protocol, std::uint64_t seed,
                                       const core::RunOptions& options) const;

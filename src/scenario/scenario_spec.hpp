@@ -70,17 +70,10 @@ struct ScenarioSpec {
   /// neither read nor write it.
   bool use_cache = true;
 
-  /// `caem run --worker` (CLI-only — every process of a distributed
-  /// launch runs the same scenario file and differs only in this flag):
-  /// drain the sweep's shared claim queue like any cached run, then
-  /// publish a telemetry report instead of folding.  Any number of
-  /// workers, started and stopped at any time, cooperate through the
-  /// cache dir; a worker exits when every cell of the sweep is cached.
-  /// Requires the result cache.  See scenario/work_queue.hpp.
-  bool worker_mode = false;
-  /// `caem run --lease=<secs>`: staleness horizon for this run's
-  /// claims — a claim not refreshed for this long is presumed crashed
-  /// and stolen.  The holder refreshes every lease_s/3 while computing.
+  /// `caem run --cache-dir=<dir> --lease=<secs>`: staleness horizon
+  /// for this run's claims (scenario/work_queue.hpp) — a claim not
+  /// refreshed for this long is presumed crashed and stolen.  The
+  /// holder refreshes every lease_s/3 while computing.
   double lease_s = 30.0;
 
   /// `caem run --progress[=secs]` (CLI-only): emit a one-line progress
@@ -100,14 +93,12 @@ struct ScenarioSpec {
   ProgressSink* progress_sink = nullptr;
 
   /// Cooperative cancellation: when non-null and it reads true, the
-  /// engine stops launching cells.  A worker still publishes its
-  /// telemetry marker and returns a partial result flagged `cancelled`;
-  /// every other run throws SweepCancelled (no partial fold is ever
-  /// rendered).  A cached run has released every claim by then and
-  /// keeps every cell it finished stored — cancellation never loses
-  /// work.  A drain blocked on peers' claims re-checks the flag when
-  /// woken: raise it, then call ClaimBoard::wake_waiters()
-  /// (work_queue.hpp).
+  /// engine stops launching cells and throws SweepCancelled (no partial
+  /// fold is ever rendered).  A cached run has released every claim by
+  /// then and keeps every cell it finished stored — cancellation never
+  /// loses work.  `caem run` raises it on SIGINT/SIGTERM.  A drain
+  /// blocked on peers' claims re-checks the flag when woken: raise it,
+  /// then call ClaimBoard::wake_waiters() (work_queue.hpp).
   const std::atomic<bool>* cancel = nullptr;
 
   /// Record every cache hit in the entry's `.touch` sidecar so the

@@ -19,6 +19,7 @@
 
 #include "util/atomic_file.hpp"
 #include "util/config.hpp"
+#include "util/digest.hpp"
 
 namespace caem::scenario {
 
@@ -97,6 +98,13 @@ std::string random_suffix() {
 }
 
 }  // namespace
+
+std::string sweep_digest(const std::vector<std::string>& job_keys) {
+  std::ostringstream canon;
+  canon << "caem-sweep-v1\n" << job_keys.size() << '\n';
+  for (const std::string& key : job_keys) canon << key << '\n';
+  return util::content_digest(canon.str());
+}
 
 std::uint64_t ClaimBoard::now_ms() {
   return static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::milliseconds>(

@@ -1,13 +1,20 @@
 // work_queue.hpp — crash-safe dynamic cell claiming for cached sweeps.
 //
 // Every cached sweep drains through claims: one shared queue that any
-// number of cooperating processes (`caem run --worker`, `caem run
-// --cache-dir`, `caem merge`, the service's drains) empty by CLAIMING
-// cells dynamically — the work-stealing answer to irregular workloads
+// number of cooperating processes (concurrent `caem run --cache-dir`
+// runs of one sweep, the service's drains) empty by CLAIMING cells
+// dynamically — the work-stealing answer to irregular workloads
 // (arXiv:1605.00930), with the shared cache directory as the only
-// coordination substrate (no daemon, no socket: claims are files).  A
-// fast process simply claims more cells, so a sweep's makespan is never
+// coordination substrate (no daemon, no socket: claims are files) and
+// as the merge point (UtilCache, arXiv:1811.05864): whichever run
+// finishes its drain folds the whole sweep from the cache.  A fast
+// process simply claims more cells, so a sweep's makespan is never
 // hostage to whoever drew the run-to-extinction cell.
+//
+// The sweep digest (sweep_digest below) pins the whole flattened job
+// list — every cell's cache key, in job order — so claims from a
+// different scenario, seed or axis edit can never be mistaken for this
+// sweep's.
 //
 // Claim protocol, one file per in-flight cell:
 //
@@ -15,14 +22,14 @@
 //
 // ACQUIRE   util::atomic_create_file — content is fully written to a
 //           temp, then hard-linked into place.  link(2) fails if the
-//           claim exists, so exactly ONE of N racing workers wins; the
+//           claim exists, so exactly ONE of N racing claimants wins; the
 //           losers observe a fresh foreign claim and move on to the
 //           next cell.  (Publish-by-RENAME would silently replace a
 //           racer's claim and let both believe they hold it.)
 // LEASE     the claim records its epoch_ms and lease_ms; the holder
 //           refreshes the stamp (rename-replace of its own file) while
 //           it computes.  A claim whose stamp has aged past the lease
-//           belongs to a crashed (or descheduled) worker.  The stamp is
+//           belongs to a crashed (or descheduled) process.  The stamp is
 //           wall clock compared across hosts, so skew within one lease
 //           in either direction reads as healthy; a stamp more than one
 //           lease in the FUTURE (fast-clock host, corrupt stamp) is
@@ -42,7 +49,7 @@
 // RELEASE   the holder deletes its claim after the cell's result is
 //           durably stored in the cache, then bumps the sweep's
 //           in-process release epoch and notifies its waiters.
-// WAIT      a worker whose every remaining cell is held by a healthy
+// WAIT      a drain lane whose every remaining cell is held by a healthy
 //           peer snapshots the release epoch BEFORE its pass over the
 //           queue and, if the pass made no progress, blocks in
 //           wait_release() until the epoch moves.  A release before the
@@ -54,9 +61,11 @@
 //
 // Completion is NEVER inferred from claims: a cell is done iff its
 // result-cache entry exists (checked before any claim attempt), so a
-// crashed worker's half-stored cells are skipped, not re-executed, and
-// a worker killed at any point leaves at worst a stale claim that
-// expires and is stolen — never an orphaned cell.  Duplicate execution
+// crashed run's half-stored cells are skipped, not re-executed, and a
+// process killed at any point leaves at worst a stale claim that
+// expires and is stolen — never an orphaned cell.  (An interrupted
+// `caem run` releases its claims before it exits: only SIGKILL or a
+// crash leaves one to expire.)  Duplicate execution
 // is possible at the margins (a holder descheduled past its lease is
 // stolen while still alive) and harmless: runs are deterministic
 // functions of the cell key and cache stores are idempotent
@@ -70,8 +79,16 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 namespace caem::scenario {
+
+/// Digest of a sweep's flattened job list: the ordered cache entry keys
+/// (ResultCache::entry_key) of every job.  Identical for every process
+/// draining the same sweep; different for any edit that changes a cell
+/// or the job-index mapping.  Claims live under
+/// `<cache-dir>/sweeps/<sweep digest>/`.
+[[nodiscard]] std::string sweep_digest(const std::vector<std::string>& job_keys);
 
 /// Parsed contents of one claim file.
 struct ClaimInfo {

@@ -166,12 +166,10 @@ HttpResponse SweepService::submit(const HttpRequest& request) {
     return error_response(400, error.what());
   }
 
-  // The service owns execution policy: the store is the cache, caching
-  // is on, and distributed/worker flags from the body are ignored (they
-  // are CLI process-launch concerns; the service runs its own drains).
+  // The service owns execution policy: the store is the cache and
+  // caching is on, whatever the body says.
   sweep->spec.cache_dir = config_.store_dir;
   sweep->spec.use_cache = true;
-  sweep->spec.worker_mode = false;
   sweep->spec.progress_s = 0.0;
 
   // Expand the grid NOW: a bad axis/config fails the submit with a 400

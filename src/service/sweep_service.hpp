@@ -24,7 +24,7 @@
 // Execution reuses the engine wholesale — no second scheduler: a
 // submitted sweep is ONE cached run_scenario against the store with
 // serve.workers lanes.  The lanes split the queue in memory, claim each
-// cell in the store's ClaimBoard (so external `caem run --worker`
+// cell in the store's ClaimBoard (so external `caem run --cache-dir`
 // processes pointed at the store can join the drain), store every cell
 // as it finishes, and fold from memory into artifacts byte-identical to
 // `caem run`.  Progress is observed through ScenarioSpec::progress_sink

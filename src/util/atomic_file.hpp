@@ -6,7 +6,7 @@
 // the old complete file or the new complete file, never a torn one,
 // and a crash mid-write leaves at worst a stray .tmp — never a
 // half-written file under the final name.  This is the discipline the
-// result cache, the claim files and the worker markers all rely on;
+// result cache, the claim files and the sweep artifacts all rely on;
 // keeping it in one place keeps their crash-safety stories identical.
 #pragma once
 

@@ -2,9 +2,8 @@
 // HTTP endpoint round-trip, the submit -> drain -> fetch lifecycle
 // (artifacts byte-identical to a direct run), concurrent status
 // pollers, cooperative cancel, the utility-ordered cache janitor, the
-// in-flight pin guarantee, and the interrupted-worker claim-release
-// contract the service's drains (and `caem run --worker` under SIGINT)
-// rely on.
+// in-flight pin guarantee, and the interrupted-run claim-release
+// contract the service's drains (and `caem run` under SIGINT) rely on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -459,7 +458,7 @@ TEST(CacheJanitor, PinnedEntriesSurviveEvenOverBudget) {
   fs::remove_all(store);
 }
 
-// ---------------------------------------------- interrupted-worker drain
+// ------------------------------------------------- interrupted cached run
 
 /// Regular files living under any .../claims/ directory.
 std::size_t claim_files(const fs::path& cache_dir) {
@@ -474,12 +473,11 @@ std::size_t claim_files(const fs::path& cache_dir) {
   return count;
 }
 
-TEST(Engine, InterruptedWorkerReleasesClaimsAndWritesMarker) {
-  const fs::path cache_dir = scratch_dir("worker_interrupt");
+TEST(Engine, InterruptedCachedRunReleasesClaimsAndResumes) {
+  const fs::path cache_dir = scratch_dir("run_interrupt");
   scenario::ScenarioSpec spec =
       scenario::ScenarioSpec::from_config(util::Config::from_text(kScenarioText));
   spec.cache_dir = cache_dir.string();
-  spec.worker_mode = true;
   spec.lease_s = 5.0;
 
   // Simulate SIGINT landing mid-drain: the moment the first cell is
@@ -492,36 +490,31 @@ TEST(Engine, InterruptedWorkerReleasesClaimsAndWritesMarker) {
     while (sink.executed.load() == 0) std::this_thread::yield();
     cancel.store(true);
   });
-  const scenario::ScenarioResult result = scenario::run_scenario(spec);
+  EXPECT_THROW((void)scenario::run_scenario(spec), scenario::SweepCancelled);
   interrupter.join();
 
-  EXPECT_TRUE(result.cancelled);
-  EXPECT_GE(result.executed_jobs, 1u);
-  EXPECT_LT(result.executed_jobs, result.total_jobs);
-  // The contract the orphaned-claims fix establishes: an interrupted
-  // worker leaves NO claim behind (nothing for peers to wait a lease
-  // on) and still publishes its telemetry marker.
+  const std::size_t stored = sink.executed.load();
+  EXPECT_GE(stored, 1u);
+  EXPECT_LT(stored, spec.total_jobs());
+  // An interrupted run leaves NO claim behind: nothing for peers or the
+  // resume to wait a lease on.
   EXPECT_EQ(claim_files(cache_dir), 0u);
-  ASSERT_FALSE(result.marker_path.empty());
-  EXPECT_TRUE(fs::exists(result.marker_path));
 
-  // The sweep resumes cleanly: a fresh worker drains the remainder
-  // immediately (no lease to wait out), and the merge folds the full
-  // sweep from pure cache hits.
+  // The sweep resumes cleanly: a fresh run drains the remainder
+  // immediately (no lease to wait out) and folds the full sweep; a
+  // later fold is pure cache hits.
   scenario::ScenarioSpec resume = spec;
   resume.progress_sink = nullptr;
   resume.cancel = nullptr;
   const scenario::ScenarioResult finished = scenario::run_scenario(resume);
-  EXPECT_FALSE(finished.cancelled);
+  EXPECT_EQ(finished.cache_hits, stored);
   EXPECT_EQ(finished.executed_jobs + finished.cache_hits, finished.total_jobs);
+  EXPECT_EQ(finished.claims_stolen, 0u);
+  EXPECT_FALSE(finished.points.empty());
 
-  scenario::ScenarioSpec merge = spec;
-  merge.worker_mode = false;
-  merge.progress_sink = nullptr;
-  merge.cancel = nullptr;
-  const scenario::ScenarioResult merged = scenario::run_scenario(merge);
-  EXPECT_EQ(merged.cache_hits, merged.total_jobs);
-  EXPECT_EQ(merged.executed_jobs, 0u);
+  const scenario::ScenarioResult folded = scenario::run_scenario(resume);
+  EXPECT_EQ(folded.cache_hits, folded.total_jobs);
+  EXPECT_EQ(folded.executed_jobs, 0u);
   fs::remove_all(cache_dir);
 }
 

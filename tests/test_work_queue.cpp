@@ -1,12 +1,11 @@
 // Tests for dynamic work claiming (the claim drain every cached sweep
 // uses): the ClaimBoard acquire/lease/steal/release protocol, the
-// longest-expected-first cost model, the sweep digest, worker
-// telemetry markers, concurrent-writer atomicity of the cache, the
-// worker-equivalence batteries (N dynamic workers + merge == one
-// single-process run, byte for byte), crash recovery (half-stored
-// cells skipped, stale claims stolen exactly once), cancellation that
-// keeps finished cells, the stats contract, the progress reporter, and
-// the worker-mode validation surface.
+// longest-expected-first cost model, the sweep digest, concurrent-writer
+// atomicity of cache entries and artifacts, the equivalence batteries
+// (N concurrent cached runs + a later fold == one uncached run, byte for
+// byte), crash recovery (half-stored cells skipped, stale claims stolen
+// exactly once), cancellation that keeps finished cells, the stats
+// contract, the progress reporter, and the lease validation surface.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,7 +14,6 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <set>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -26,7 +24,6 @@
 #include "scenario/engine.hpp"
 #include "scenario/result_cache.hpp"
 #include "scenario/scenario_spec.hpp"
-#include "scenario/worker_report.hpp"
 #include "scenario/sweep.hpp"
 #include "scenario/work_queue.hpp"
 
@@ -434,7 +431,7 @@ TEST(SweepDigest, PinsContentCountAndOrder) {
 
 // ------------------------------------------------- concurrent cache writers
 
-TEST(ShardCache, ConcurrentStoresOnOneCellNeverTearReads) {
+TEST(Cache, ConcurrentStoresOnOneCellNeverTearReads) {
   // Two processes that both execute a cell (a steal at the lease
   // margin) store it concurrently; readers must only ever see one
   // complete entry or the other.
@@ -495,61 +492,11 @@ TEST(ShardCache, ConcurrentStoresOnOneCellNeverTearReads) {
   fs::remove_all(dir);
 }
 
-// ------------------------------------------------------- worker markers
-
-TEST(Manifest, WorkerMarkerRoundTripAndDisjointCensus) {
-  const fs::path dir = scratch_dir("worker_marker");
-  const WorkerReports reports(dir.string(), kSweep);
-  EXPECT_TRUE(reports.collect().empty());
-
-  WorkerReport marker;
-  marker.token = "box-a:4242:0-cafe";
-  marker.host = "box-a";
-  marker.pid = 4242;
-  marker.total_jobs = 8;
-  marker.cache_hits = 3;
-  marker.stolen = 1;
-  marker.wall_ms = 1234.5;
-  marker.stored = {2, 5, 6};
-  reports.write(marker);
-
-  // Other files in the sweep dir — claims, anything not named
-  // worker_*.done — never enter the census.
-  fs::create_directories(fs::path(reports.dir()) / "claims");
-  std::ofstream(fs::path(reports.dir()) / "claims" / "job_0.claim", std::ios::trunc)
-      << "v = 1\nsweep = " << kSweep << "\njob = 0\ntoken = t\n";
-  std::ofstream(fs::path(reports.dir()) / "notes.done", std::ios::trunc) << "v = 1\n";
-
-  const auto workers = reports.collect();
-  ASSERT_EQ(workers.size(), 1u);
-  EXPECT_EQ(workers[0].token, marker.token);  // exact, despite filename sanitising
-  EXPECT_EQ(workers[0].host, "box-a");
-  EXPECT_EQ(workers[0].pid, 4242u);
-  EXPECT_EQ(workers[0].total_jobs, 8u);
-  EXPECT_EQ(workers[0].cache_hits, 3u);
-  EXPECT_EQ(workers[0].stolen, 1u);
-  EXPECT_EQ(workers[0].wall_ms, 1234.5);
-  EXPECT_EQ(workers[0].stored, (std::vector<std::size_t>{2, 5, 6}));
-
-  // The ':' characters never reach the filesystem name.
-  EXPECT_EQ(reports.path(marker.token).find(':'), std::string::npos);
-
-  // Corrupt and foreign-sweep reports are skipped, never data.
-  std::ofstream(fs::path(reports.dir()) / "worker_torn.done", std::ios::trunc) << "v = 1\npid = x";
-  std::ofstream(fs::path(reports.dir()) / "worker_foreign.done", std::ios::trunc)
-      << "v = 1\nsweep = 0000000000000000\ntoken = ghost\nstored = \n";
-  EXPECT_EQ(reports.collect().size(), 1u);
-
-  WorkerReport anonymous;  // empty token would be unaddressable
-  EXPECT_THROW(reports.write(anonymous), std::invalid_argument);
-  fs::remove_all(dir);
-}
-
 // --------------------------------------------------- engine battery prep
 
 ScenarioSpec battery_spec() {
   ScenarioSpec spec;
-  spec.name = "workerbat";
+  spec.name = "drainbat";
   spec.base_config.node_count = 10;
   spec.base_config.field_size_m = 40.0;
   spec.base_config.ch_fraction = 0.2;
@@ -636,7 +583,7 @@ void prewarm(const ScenarioSpec& spec, const fs::path& cache_dir) {
   (void)run_scenario(warm);
 }
 
-/// The stale claim a worker killed while holding `job` leaves behind.
+/// The stale claim a run killed while holding `job` leaves behind.
 void write_ghost_claim(const fs::path& cache_dir, const std::string& digest, std::size_t job) {
   const fs::path claims = cache_dir / "sweeps" / digest / "claims";
   fs::create_directories(claims);
@@ -645,61 +592,53 @@ void write_ghost_claim(const fs::path& cache_dir, const std::string& digest, std
       << "\ntoken = ghost:1:0-dead\nhost = ghost\npid = 1\nepoch_ms = 1000\nlease_s = 0.01\n";
 }
 
-/// Drain `spec` with `count` concurrent workers on `cache_dir`, check
-/// each worker's stats and telemetry marker, and return the cells they
-/// executed — every one by exactly one worker.
-std::set<std::size_t> drain_with_workers(ScenarioSpec spec, const fs::path& cache_dir,
-                                         std::size_t count) {
+/// Drain `spec` with `count` concurrent cached runs on `cache_dir`.
+/// Each run checks its own stats and folds the whole sweep into
+/// artifacts byte-identical to `ref`; returns the cells they executed
+/// between them.
+std::size_t drain_concurrently(ScenarioSpec spec, const fs::path& cache_dir, std::size_t count,
+                               const Artifacts& ref, const std::string& tag) {
   spec.cache_dir = cache_dir.string();
-  spec.worker_mode = true;
   std::vector<ScenarioResult> results(count);
   {
-    std::vector<std::thread> workers;
+    std::vector<std::thread> runs;
     for (std::size_t i = 0; i < count; ++i) {
-      workers.emplace_back([&, i] { results[i] = run_scenario(spec); });
+      runs.emplace_back([&, i] { results[i] = run_scenario(spec); });
     }
-    for (std::thread& t : workers) t.join();
+    for (std::thread& t : runs) t.join();
   }
-  std::set<std::size_t> executed;
-  std::set<std::string> tokens;
-  for (const ScenarioResult& result : results) {
-    EXPECT_TRUE(result.points.empty());  // partial run: the merge folds
-    EXPECT_TRUE(tokens.insert(result.worker_token).second);
-    // A worker that ran to completion observed every cell: the ones it
+  std::size_t executed = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    const ScenarioResult& result = results[i];
+    // A run that drained to completion observed every cell: the ones it
     // executed plus the ones it found stored (at scan time or by losing
     // a claim race mid-drain).
-    EXPECT_EQ(result.cache_hits + result.executed_jobs, result.total_jobs);
-    EXPECT_EQ(result.cache_misses, result.executed_jobs);
-    EXPECT_EQ(result.claims_stolen, 0u);  // nobody crashed: no steals
-    EXPECT_TRUE(fs::exists(result.marker_path));
-    const auto markers = WorkerReports(spec.cache_dir, result.sweep_digest).collect();
-    const auto mine = std::find_if(markers.begin(), markers.end(), [&](const WorkerReport& m) {
-      return m.token == result.worker_token;
-    });
-    if (mine == markers.end()) {
-      ADD_FAILURE() << "no marker for " << result.worker_token;
-      continue;
-    }
-    EXPECT_EQ(mine->stored.size(), result.executed_jobs);
-    EXPECT_EQ(mine->cache_hits, result.cache_hits);
-    for (const std::size_t job : mine->stored) {
-      EXPECT_TRUE(executed.insert(job).second) << "job " << job << " executed twice";
-    }
+    EXPECT_EQ(result.cache_hits + result.executed_jobs, result.total_jobs) << tag;
+    EXPECT_EQ(result.cache_misses, result.executed_jobs) << tag;
+    EXPECT_EQ(result.claims_stolen, 0u) << tag;  // nobody crashed: no steals
+    executed += result.executed_jobs;
+    const fs::path dir = scratch_dir("run_" + tag + "_" + std::to_string(i));
+    const Artifacts out = render_to(result, spec, dir);
+    EXPECT_EQ(out.csv, ref.csv) << tag << " run " << i;
+    EXPECT_EQ(out.json, ref.json) << tag << " run " << i;
+    EXPECT_EQ(out.traces, ref.traces) << tag << " run " << i;
+    fs::remove_all(dir);
   }
   return executed;
 }
 
-/// Fold `spec` from `cache_dir` as `caem merge` does: nothing executes,
-/// every cell is a hit, and the artifacts match `ref` byte for byte.
-void expect_merge_matches(const ScenarioSpec& spec, const fs::path& cache_dir,
-                          const Artifacts& ref, const std::string& tag) {
-  ScenarioSpec merge = spec;
-  merge.cache_dir = cache_dir.string();
-  const ScenarioResult merged = run_scenario(merge);
-  EXPECT_EQ(merged.executed_jobs, 0u) << tag;
-  EXPECT_EQ(merged.cache_hits, spec.total_jobs()) << tag;
-  const fs::path dir = scratch_dir("merged_" + tag);
-  const Artifacts out = render_to(merged, spec, dir);
+/// Fold `spec` from `cache_dir` once every cell is stored: nothing
+/// executes, every cell is a hit, and the artifacts match `ref` byte
+/// for byte.
+void expect_fold_matches(const ScenarioSpec& spec, const fs::path& cache_dir,
+                         const Artifacts& ref, const std::string& tag) {
+  ScenarioSpec fold = spec;
+  fold.cache_dir = cache_dir.string();
+  const ScenarioResult folded = run_scenario(fold);
+  EXPECT_EQ(folded.executed_jobs, 0u) << tag;
+  EXPECT_EQ(folded.cache_hits, spec.total_jobs()) << tag;
+  const fs::path dir = scratch_dir("folded_" + tag);
+  const Artifacts out = render_to(folded, spec, dir);
   EXPECT_EQ(out.csv, ref.csv) << tag;
   EXPECT_EQ(out.json, ref.json) << tag;
   EXPECT_EQ(out.traces, ref.traces) << tag;
@@ -708,30 +647,29 @@ void expect_merge_matches(const ScenarioSpec& spec, const fs::path& cache_dir,
 
 // ----------------------------------------------- equivalence battery
 
-TEST(Worker, ConcurrentWorkersPlusMergeMatchSingleProcessByteForByte) {
+TEST(Drain, ConcurrentCachedRunsMatchUncachedByteForByte) {
   // Reference: one uncached single-process run — dynamic claiming must
   // reproduce pure in-memory compute exactly.
   const ScenarioSpec spec = battery_spec();
-  const fs::path ref_dir = scratch_dir("worker_ref");
+  const fs::path ref_dir = scratch_dir("concurrent_ref");
   const Artifacts ref = render_to(run_scenario(spec), spec, ref_dir);
 
-  const fs::path cache_dir = scratch_dir("worker_cache");
-  constexpr std::size_t kWorkers = 3;
-  // Claims partition the queue: every cell executed exactly once.
-  EXPECT_EQ(drain_with_workers(spec, cache_dir, kWorkers).size(), spec.total_jobs());
-
-  // Merge: pure cache hits, straggler census present, artifacts
-  // byte-identical to the uncached reference.
-  expect_merge_matches(spec, cache_dir, ref, "worker");
+  const fs::path cache_dir = scratch_dir("concurrent_cache");
+  // Claims partition the queue: between them the runs execute every
+  // cell exactly once (every cell ends up stored, and the executions
+  // add up to the cell count), and each folds the whole sweep.
+  EXPECT_EQ(drain_concurrently(spec, cache_dir, 3, ref, "concurrent"), spec.total_jobs());
   const ResultCache cache(cache_dir.string());
-  EXPECT_EQ(WorkerReports(cache_dir.string(), digest_of(spec, cache)).collect().size(),
-            kWorkers);
+  EXPECT_TRUE(miss_list(job_paths(spec, cache), cache).empty());
+
+  // A later fold: pure cache hits, byte-identical to the reference.
+  expect_fold_matches(spec, cache_dir, ref, "concurrent");
   fs::remove_all(ref_dir);
   fs::remove_all(cache_dir);
 }
 
-TEST(Shard, EquivalenceBatteryAcrossShardCounts) {
-  // N dynamic workers + merge == one uncached process, for N in
+TEST(Drain, EquivalenceBatteryAcrossProcessCounts) {
+  // N concurrent cached runs + a fold == one uncached process, for N in
   // {1, 2, 3, 7}, starting from a cache that already holds jobs 0..3.
   const ScenarioSpec spec = battery_spec();
   const fs::path ref_dir = scratch_dir("bat_ref");
@@ -743,27 +681,29 @@ TEST(Shard, EquivalenceBatteryAcrossShardCounts) {
     const fs::path cache_dir = scratch_dir("bat_cache_" + tag);
     prewarm(spec, cache_dir);
     const ResultCache cache(cache_dir.string());
-    const std::vector<std::size_t> misses = miss_list(job_paths(spec, cache), cache);
+    const std::vector<std::string> paths = job_paths(spec, cache);
+    const std::vector<std::size_t> misses = miss_list(paths, cache);
     ASSERT_EQ(misses, (std::vector<std::size_t>{4, 5, 6, 7})) << tag;
-    // The workers executed exactly the misses: prior hits never re-run.
-    const std::set<std::size_t> executed = drain_with_workers(spec, cache_dir, n);
-    EXPECT_EQ(std::vector<std::size_t>(executed.begin(), executed.end()), misses) << tag;
-    expect_merge_matches(spec, cache_dir, ref, tag);
+    // The runs executed exactly the misses: as many executions as
+    // misses, all of them stored now, so prior hits never re-ran.
+    EXPECT_EQ(drain_concurrently(spec, cache_dir, n, ref, tag), misses.size()) << tag;
+    EXPECT_TRUE(miss_list(paths, cache).empty()) << tag;
+    expect_fold_matches(spec, cache_dir, ref, tag);
     fs::remove_all(cache_dir);
   }
   fs::remove_all(ref_dir);
 }
 
-// ------------------------------------------------ crashed-worker recovery
+// --------------------------------------------------- crashed-run recovery
 
-TEST(Worker, HalfStoredCellsAreSkippedAndStaleClaimsStolenExactlyOnce) {
-  // Simulate a worker that died mid-drain: jobs 0..3 durably stored, a
-  // stale claim left on a STORED cell (job 1: killed between store and
+TEST(Drain, HalfStoredCellsAreSkippedAndStaleClaimsStolenExactlyOnce) {
+  // Simulate a run killed mid-drain: jobs 0..3 durably stored, a stale
+  // claim left on a STORED cell (job 1: killed between store and
   // release) and on an UNSTORED cell (job 5: killed mid-execute).  A
-  // fresh worker must treat job 1 as done — completion comes from the
+  // fresh run must treat job 1 as done — completion comes from the
   // cache, never from claims — and steal job 5's corpse exactly once.
   const ScenarioSpec spec = battery_spec();
-  const fs::path cache_dir = scratch_dir("worker_crash");
+  const fs::path cache_dir = scratch_dir("crash_half_stored");
   prewarm(spec, cache_dir);
   const ResultCache cache(cache_dir.string());
   const std::vector<std::string> paths = job_paths(spec, cache);
@@ -774,10 +714,9 @@ TEST(Worker, HalfStoredCellsAreSkippedAndStaleClaimsStolenExactlyOnce) {
   write_ghost_claim(cache_dir, digest, 1);
   write_ghost_claim(cache_dir, digest, 5);
 
-  ScenarioSpec worker = spec;
-  worker.cache_dir = cache_dir.string();
-  worker.worker_mode = true;
-  const ScenarioResult result = run_scenario(worker);
+  ScenarioSpec resume = spec;
+  resume.cache_dir = cache_dir.string();
+  const ScenarioResult result = run_scenario(resume);
   EXPECT_EQ(result.sweep_digest, digest);
   EXPECT_EQ(result.executed_jobs, 4u);  // exactly the unstored cells
   EXPECT_EQ(result.cache_hits, 4u);
@@ -795,9 +734,9 @@ TEST(Worker, HalfStoredCellsAreSkippedAndStaleClaimsStolenExactlyOnce) {
   fs::remove_all(cache_dir);
 }
 
-TEST(Shard, CrashedShardRecoveryExecutesExactlyTheMissingCells) {
-  // What two killed workers leave behind: one stored jobs 0, 2, 4, 6;
-  // the other stored jobs 1 and 3 and died holding job 5.  The merge
+TEST(Drain, CrashRecoveryExecutesExactlyTheMissingCells) {
+  // What two killed runs leave behind: one stored jobs 0, 2, 4, 6; the
+  // other stored jobs 1 and 3 and died holding job 5.  The next run
   // executes exactly the unstored cells (5 and 7) — the stored half is
   // not re-run — stealing job 5's stale claim on the way, and folds
   // byte-identically to a single-process run.
@@ -815,38 +754,96 @@ TEST(Shard, CrashedShardRecoveryExecutesExactlyTheMissingCells) {
   }
   write_ghost_claim(cache_dir, digest_of(spec, cache), 5);
 
-  ScenarioSpec merge = spec;
-  merge.cache_dir = cache_dir.string();
-  const ScenarioResult merged = run_scenario(merge);
-  EXPECT_EQ(merged.executed_jobs, 2u);
-  EXPECT_EQ(merged.cache_hits, 6u);
-  EXPECT_EQ(merged.claims_stolen, 1u);
-  // A second merge finds everything stored and executes nothing.
+  ScenarioSpec resume = spec;
+  resume.cache_dir = cache_dir.string();
+  const ScenarioResult resumed = run_scenario(resume);
+  EXPECT_EQ(resumed.executed_jobs, 2u);
+  EXPECT_EQ(resumed.cache_hits, 6u);
+  EXPECT_EQ(resumed.claims_stolen, 1u);
+  // A second run finds everything stored and executes nothing.
   const fs::path ref_dir = scratch_dir("crash_ref");
-  expect_merge_matches(spec, cache_dir, render_to(run_scenario(spec), spec, ref_dir), "crash");
+  expect_fold_matches(spec, cache_dir, render_to(run_scenario(spec), spec, ref_dir), "crash");
   fs::remove_all(cache_dir);
   fs::remove_all(ref_dir);
 }
 
-TEST(Shard, StatsCoherentPerShardAndMerged) {
+TEST(Drain, StatsCoherentPerRunAndFolded) {
   ScenarioSpec spec = battery_spec();
   spec.replications = 1;
   spec.protocols = {core::protocol_from_string("scheme2")};  // 2 jobs total
+  const fs::path ref_dir = scratch_dir("stats_ref");
+  const Artifacts ref = render_to(run_scenario(spec), spec, ref_dir);
   const fs::path cache_dir = scratch_dir("stats_cache");
-  // Two workers one after the other (drain_with_workers checks each
-  // one's hits + executed == total): the first executes every cell,
-  // the second finds them all stored.
-  EXPECT_EQ(drain_with_workers(spec, cache_dir, 1).size(), spec.total_jobs());
-  EXPECT_TRUE(drain_with_workers(spec, cache_dir, 1).empty());
+  // Two runs one after the other (drain_concurrently checks each one's
+  // hits + executed == total): the first executes every cell, the
+  // second finds them all stored.
+  EXPECT_EQ(drain_concurrently(spec, cache_dir, 1, ref, "stats1"), spec.total_jobs());
+  EXPECT_EQ(drain_concurrently(spec, cache_dir, 1, ref, "stats2"), 0u);
 
-  ScenarioSpec merge = spec;
-  merge.cache_dir = cache_dir.string();
-  const ScenarioResult merged = run_scenario(merge);
-  EXPECT_EQ(merged.cache_hits, spec.total_jobs());
-  EXPECT_EQ(merged.executed_jobs, 0u);
-  EXPECT_EQ(merged.cache_misses, 0u);
-  EXPECT_EQ(merged.cache_hits + merged.executed_jobs, merged.total_jobs);
+  ScenarioSpec fold = spec;
+  fold.cache_dir = cache_dir.string();
+  const ScenarioResult folded = run_scenario(fold);
+  EXPECT_EQ(folded.cache_hits, spec.total_jobs());
+  EXPECT_EQ(folded.executed_jobs, 0u);
+  EXPECT_EQ(folded.cache_misses, 0u);
+  EXPECT_EQ(folded.cache_hits + folded.executed_jobs, folded.total_jobs);
+  fs::remove_all(ref_dir);
   fs::remove_all(cache_dir);
+}
+
+TEST(Drain, ConcurrentFoldsPublishWholeArtifacts) {
+  // Concurrent runs of one sweep fold into the same output paths.  Every
+  // artifact is published by rename, so a reader racing the writers only
+  // ever sees one writer's complete bytes, and no temp file is left.
+  ScenarioSpec spec = battery_spec();
+  const ScenarioResult result = run_scenario(spec);
+  const fs::path ref_dir = scratch_dir("artifacts_ref");
+  const Artifacts ref = render_to(result, spec, ref_dir);
+
+  const fs::path dir = scratch_dir("artifacts_shared");
+  spec.csv_path = (dir / "out.csv").string();
+  spec.json_path = (dir / "out.json").string();
+  spec.trace_dir = (dir / "traces").string();
+  spec.trace_points = 9;
+  const fs::path trace = fs::path(spec.trace_dir) / ref.traces.begin()->first;
+  std::atomic<bool> stop{false};
+  std::atomic<int> torn{0};
+  std::thread reader([&] {
+    while (!stop.load()) {
+      // Absent before the first publish; complete ever after.
+      if (fs::exists(spec.csv_path) && read_file(spec.csv_path) != ref.csv) ++torn;
+      if (fs::exists(trace) && read_file(trace) != ref.traces.begin()->second) ++torn;
+    }
+  });
+  std::vector<std::thread> writers;
+  for (int w = 0; w < 4; ++w) {
+    writers.emplace_back([&] {
+      for (int i = 0; i < 25; ++i) {
+        std::ostringstream log;
+        write_outputs(result, spec, log);
+      }
+    });
+  }
+  for (std::thread& t : writers) t.join();
+  stop.store(true);
+  reader.join();
+
+  EXPECT_EQ(torn.load(), 0);
+  EXPECT_EQ(read_file(spec.csv_path), ref.csv);
+  EXPECT_EQ(read_file(spec.json_path), ref.json);
+  std::map<std::string, std::string> traces;
+  std::size_t temps = 0;
+  for (const auto& entry : fs::recursive_directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name.find(".tmp.") != std::string::npos) ++temps;
+    if (entry.path().parent_path() == fs::path(spec.trace_dir)) {
+      traces[name] = read_file(entry.path());
+    }
+  }
+  EXPECT_EQ(temps, 0u);
+  EXPECT_EQ(traces, ref.traces);
+  fs::remove_all(ref_dir);
+  fs::remove_all(dir);
 }
 
 // ------------------------------------------- cancellation keeps its work
@@ -897,12 +894,11 @@ ScenarioSpec one_cell_spec(const fs::path& cache_dir) {
   spec.replications = 1;
   spec.axes = {Axis{"traffic_rate_pps", {"3"}}};
   spec.cache_dir = cache_dir.string();
-  spec.worker_mode = true;
   spec.lease_s = 30.0;  // poll = min(0.5 s, lease / 4) = 0.5 s
   return spec;
 }
 
-TEST(Worker, WakeDrainOnInProcessPeerRelease) {
+TEST(Drain, WakeOnInProcessPeerRelease) {
   const fs::path side_dir = scratch_dir("wake_drain_side");
   const fs::path cache_dir = scratch_dir("wake_drain");
   const ScenarioSpec spec = one_cell_spec(cache_dir);
@@ -911,7 +907,6 @@ TEST(Worker, WakeDrainOnInProcessPeerRelease) {
   // The "peer's" result, computed up front in a side cache.
   ScenarioSpec side = spec;
   side.cache_dir = side_dir.string();
-  side.worker_mode = false;
   (void)run_scenario(side);
   const ResultCache side_cache(side_dir.string());
   const std::optional<core::RunResult> computed = side_cache.load(job_paths(side, side_cache)[0]);
@@ -940,14 +935,14 @@ TEST(Worker, WakeDrainOnInProcessPeerRelease) {
   drain.join();
   // Woken by the release, not by the 0.5 s poll.
   EXPECT_LT(seconds_since(released), 0.25);
-  EXPECT_FALSE(result.cancelled);
   EXPECT_EQ(result.executed_jobs, 0u);
   EXPECT_EQ(result.cache_hits, 1u);
+  EXPECT_EQ(result.points.size(), 1u);  // and folded the sweep
   fs::remove_all(side_dir);
   fs::remove_all(cache_dir);
 }
 
-TEST(Worker, WakeDrainOnCancel) {
+TEST(Drain, WakeOnCancel) {
   const fs::path cache_dir = scratch_dir("wake_drain_cancel");
   ScenarioSpec spec = one_cell_spec(cache_dir);
   const ResultCache cache(cache_dir.string());
@@ -956,23 +951,32 @@ TEST(Worker, WakeDrainOnCancel) {
 
   std::atomic<bool> cancel{false};
   spec.cancel = &cancel;
+  ProgressSink sink;
+  spec.progress_sink = &sink;
   std::atomic<bool> done{false};
-  ScenarioResult result;
+  std::atomic<bool> cancelled{false};
   std::thread drain([&] {
-    result = run_scenario(spec);
+    try {
+      (void)run_scenario(spec);
+    } catch (const SweepCancelled&) {
+      cancelled.store(true);
+    }
     done.store(true);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
   EXPECT_FALSE(done.load());
 
-  const auto cancelled = Clock::now();
+  const auto stopped = Clock::now();
   cancel.store(true);
   ClaimBoard::wake_waiters();
   drain.join();
-  EXPECT_LT(seconds_since(cancelled), 0.25);
-  EXPECT_TRUE(result.cancelled);
-  EXPECT_EQ(result.executed_jobs, 0u);
-  EXPECT_TRUE(fs::exists(result.marker_path));
+  EXPECT_LT(seconds_since(stopped), 0.25);
+  EXPECT_TRUE(cancelled.load());
+  EXPECT_EQ(sink.executed.load(), 0u);
+  // The only claim standing is the peer's: the cancelled run held none.
+  const auto info = peer.peek(0);
+  ASSERT_TRUE(info.has_value());
+  EXPECT_EQ(info->token, peer.token());
   peer.release(0);
   fs::remove_all(cache_dir);
 }
@@ -991,26 +995,21 @@ TEST(Progress, PeriodicReportReachesTheInjectedStream) {
   EXPECT_NE(text.find("/8 cell"), std::string::npos) << text;
 }
 
-TEST(Worker, ValidationSurface) {
-  {  // worker mode without a cache has no coordination substrate
-    ScenarioSpec spec = battery_spec();
-    spec.worker_mode = true;
-    EXPECT_THROW((void)run_scenario(spec), std::invalid_argument);
-  }
-  {  // --no-cache disables the substrate too, and creates nothing
-    ScenarioSpec spec = battery_spec();
-    spec.cache_dir = (fs::temp_directory_path() / "caem_wq_never_created").string();
-    spec.use_cache = false;
-    spec.worker_mode = true;
-    EXPECT_THROW((void)run_scenario(spec), std::invalid_argument);
-    EXPECT_FALSE(fs::exists(spec.cache_dir));
-  }
+TEST(Drain, ValidationSurface) {
   {  // a non-positive lease would make every claim instantly stale
     ScenarioSpec spec = battery_spec();
-    spec.cache_dir = scratch_dir("worker_val_lease").string();
-    spec.worker_mode = true;
+    spec.cache_dir = scratch_dir("drain_val_lease").string();
     spec.lease_s = 0.0;
     EXPECT_THROW((void)run_scenario(spec), std::invalid_argument);
+  }
+  {  // --no-cache drains in memory: no claims, no lease, nothing created
+    ScenarioSpec spec = battery_spec();
+    spec.cache_dir = (fs::temp_directory_path() / "caem_wq_never_created").string();
+    fs::remove_all(spec.cache_dir);
+    spec.use_cache = false;
+    spec.lease_s = 0.0;
+    EXPECT_EQ(run_scenario(spec).executed_jobs, spec.total_jobs());
+    EXPECT_FALSE(fs::exists(spec.cache_dir));
   }
 }
 
