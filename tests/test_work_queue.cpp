@@ -1001,6 +1001,7 @@ TEST(Drain, ValidationSurface) {
     spec.cache_dir = scratch_dir("drain_val_lease").string();
     spec.lease_s = 0.0;
     EXPECT_THROW((void)run_scenario(spec), std::invalid_argument);
+    fs::remove_all(spec.cache_dir);
   }
   {  // --no-cache drains in memory: no claims, no lease, nothing created
     ScenarioSpec spec = battery_spec();
