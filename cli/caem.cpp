@@ -14,12 +14,11 @@
 //   --cache-dir=<dir> | --cache-dir <dir>   digest-keyed result cache:
 //       cells already computed for the same (config digest, protocol,
 //       seed, horizon) load instead of executing.  Any number of runs
-//       of one sweep may share the dir at once: they drain one claim
-//       queue, longest-expected-first, and each folds the whole sweep
-//       once every cell is stored
-//   --no-cache                              ignore the cache entirely
-//   --lease=<secs>       (cached run) claim staleness horizon: a claim
-//       unrefreshed this long is presumed crashed and stolen
+//       may share the dir at once: each cell is claimed by a record
+//       lock on <dir>/claims.lock, freed the moment its holder exits,
+//       so they drain longest-expected-first, compute a shared cell
+//       once, and each folds its whole sweep once every cell is stored.
+//       A run is cached iff this flag is given
 //   --progress[=secs]    periodic one-line drain report on stderr:
 //       cells done/total, hit/executed split, cells/s, ETA
 //
@@ -29,10 +28,9 @@
 //
 // Overrides use the scenario-file namespace (scenario.*, sweep.*,
 // output.*, or any NetworkConfig key).  Unknown keys are fatal: a typo
-// must never silently run the wrong experiment.  Every run sharing a
-// sweep must receive the SAME config-affecting overrides — they change
-// the sweep digest, and mismatched runs would simply drain different
-// sweeps.
+// must never silently run the wrong experiment.  Claims are per cell,
+// so runs with different overrides on one cache dir share exactly the
+// cells they have in common.
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -61,11 +59,10 @@ namespace {
 /// SIGINT/SIGTERM latch.  The handler only sets the flag (the one
 /// async-signal-safe thing worth doing); `caem serve` polls it and
 /// `caem run` passes it as ScenarioSpec::cancel, so an interrupted
-/// drain finishes its current cells, releases its claims and exits
-/// instead of leaving a stale claim for peers to wait a whole lease on.
-/// The handler is one-shot (SA_RESETHAND): a second signal takes the
-/// default action and ends a process whose cells are too slow to wait
-/// for.
+/// drain finishes its current cells, stores them, releases their claims
+/// and exits.  The handler is one-shot (SA_RESETHAND): a second signal
+/// takes the default action and ends a process whose cells are too slow
+/// to wait for.
 std::atomic<bool> g_interrupted{false};
 /// Posted by the handler after the latch is set (sem_post is
 /// async-signal-safe; notifying a condition variable is not).
@@ -86,7 +83,7 @@ void install_interrupt_handler() {
 
 /// Carries the latch to a drain blocked on peers' claims: waits for
 /// the handler's post, then wakes every claim waiter so the drain sees
-/// the flag now rather than at its next filesystem poll.  Destruction
+/// the flag now rather than at its next poll.  Destruction
 /// posts once more to end the thread when no signal came.
 class InterruptWaker {
  public:
@@ -116,7 +113,7 @@ int usage(std::ostream& out, int exit_code) {
          "  caem protocols      list registered protocols (scenario.protocols accepts any\n"
          "                      name or alias shown there)\n"
          "  caem serve serve.store_dir=<dir> [serve.port=0] [serve.store_budget_bytes=N]\n"
-         "             [serve.workers=K] [serve.lease_s=S] [serve.janitor_interval_s=S]\n"
+         "             [serve.workers=K] [serve.janitor_interval_s=S]\n"
          "                      long-running sweep service on 127.0.0.1 (port 0 = pick one);\n"
          "                      owns the result store, runs each submitted sweep as one\n"
          "                      cached run with K drain lanes, bounds the store to the byte\n"
@@ -136,12 +133,11 @@ int usage(std::ostream& out, int exit_code) {
          "flags (run):\n"
          "  --cache-dir=<dir>   reuse cached results keyed by (config digest, protocol,\n"
          "                      seed); only cells absent from the cache execute, each\n"
-         "                      claimed in the dir (crash-safe leases) and stored as it\n"
-         "                      finishes.  Concurrent runs of one sweep share the drain,\n"
-         "                      longest-expected-first, and each folds the whole sweep\n"
-         "  --no-cache          neither read nor write the cache\n"
-         "  --lease=<secs>      cached runs: claim staleness horizon (default 30); claims\n"
-         "                      are refreshed every lease/3 while computing\n"
+         "                      claimed by a record lock on <dir>/claims.lock (freed the\n"
+         "                      moment its holder exits) and stored as it finishes.\n"
+         "                      Concurrent runs share the drain cell by cell,\n"
+         "                      longest-expected-first, and each folds its whole sweep.\n"
+         "                      Without it the run is uncached\n"
          "  --progress[=secs]   one-line progress report to stderr every <secs>\n"
          "                      (default 5) while draining: cells done/total,\n"
          "                      hit/executed split, cells/s, ETA\n"
@@ -153,9 +149,9 @@ int usage(std::ostream& out, int exit_code) {
          "      sweep.traffic_rate_pps=list:5,15 output.csv=out.csv output.trace=traces \\\n"
          "      node_count=50\n"
          "\n"
-         "several processes (or hosts, on a shared filesystem) drain one sweep with the\n"
-         "same scenario + overrides; outputs off on all but one, and any of them, or a\n"
-         "later run, folds:\n"
+         "several processes (or hosts, on a shared filesystem with POSIX record locks,\n"
+         "e.g. NFSv4) drain one sweep with the same scenario + overrides; outputs off on\n"
+         "all but one, and any of them, or a later run, folds:\n"
          "  for i in 1 2; do caem run sweep.scn --cache-dir=cache output.csv= \\\n"
          "      output.json= output.trace= & done\n"
          "  caem run sweep.scn --cache-dir=cache; wait\n";
@@ -194,13 +190,11 @@ caem::scenario::ScenarioSpec load_spec(const std::vector<std::string>& tokens,
 /// `--` flag — same contract as unknown override keys.
 struct CliArgs {
   std::string cache_dir;
-  bool no_cache = false;
-  double lease_s = -1.0;     ///< < 0 = flag absent (spec default applies)
   double progress_s = 0.0;   ///< 0 = off; --progress without a value = 5 s
   std::vector<std::string> overrides;
 };
 
-/// Strictly-positive seconds for --lease/--progress; rejects trailing
+/// Strictly-positive seconds for --progress; rejects trailing
 /// junk and non-positive values by name.
 double parse_seconds(const std::string& flag, const std::string& text) {
   const std::optional<double> value = caem::util::parse_finite(text);
@@ -221,18 +215,11 @@ CliArgs parse_cli(int argc, char** argv, int first) {
   CliArgs args;
   for (int i = first; i < argc; ++i) {
     const std::string token = argv[i];
-    if (token == "--no-cache") {
-      args.no_cache = true;
-    } else if (token == "--cache-dir") {
+    if (token == "--cache-dir") {
       if (i + 1 >= argc) throw std::invalid_argument("--cache-dir needs a directory argument");
       args.cache_dir = parse_cache_dir(argv[++i]);
     } else if (token.rfind("--cache-dir=", 0) == 0) {
       args.cache_dir = parse_cache_dir(token.substr(12));
-    } else if (token == "--lease") {
-      if (i + 1 >= argc) throw std::invalid_argument("--lease needs a seconds argument");
-      args.lease_s = parse_seconds("--lease", argv[++i]);
-    } else if (token.rfind("--lease=", 0) == 0) {
-      args.lease_s = parse_seconds("--lease", token.substr(8));
     } else if (token == "--progress") {
       args.progress_s = 5.0;
     } else if (token.rfind("--progress=", 0) == 0) {
@@ -251,26 +238,17 @@ void print_banner(const caem::scenario::ScenarioSpec& spec, std::ostream& out) {
       << "grid: " << caem::scenario::grid_size(spec.axes) << " point(s) x "
       << spec.protocols.size() << " protocol(s) x " << spec.replications
       << " rep(s) = " << spec.total_jobs() << " job(s) on one queue\n";
-  if (!spec.cache_dir.empty()) {
-    out << "cache: " << spec.cache_dir << (spec.use_cache ? "" : " (disabled by --no-cache)")
-        << "\n";
-  }
+  if (!spec.cache_dir.empty()) out << "cache: " << spec.cache_dir << "\n";
 }
 
 int run_command(int argc, char** argv) {
   const CliArgs cli = parse_cli(argc, argv, 3);
   caem::scenario::ScenarioSpec spec = load_spec(cli.overrides, argv[2]);
-  if (!cli.cache_dir.empty()) spec.cache_dir = cli.cache_dir;
-  if (cli.no_cache) spec.use_cache = false;
-  const bool cached = !spec.cache_dir.empty() && spec.use_cache;
-  if (cli.lease_s >= 0.0) {
-    if (!cached) throw std::invalid_argument("--lease only applies to a cached run (--cache-dir)");
-    spec.lease_s = cli.lease_s;
-  }
+  spec.cache_dir = cli.cache_dir;
   spec.progress_s = cli.progress_s;
   // SIGINT/SIGTERM latch into the cooperative-cancel hook: the run
   // finishes the cells it holds, stores them, releases their claims and
-  // exits 130 — nothing left for peers or the next run to steal.
+  // exits 130.
   caem::scenario::ProgressSink drained;
   spec.progress_sink = &drained;
   install_interrupt_handler();
@@ -284,7 +262,7 @@ int run_command(int argc, char** argv) {
   } catch (const caem::scenario::SweepCancelled&) {
     std::cout << "interrupted: " << drained.executed.load() << " cell(s) executed, "
               << drained.hits.load() << " found cached, of " << drained.total.load();
-    if (cached) {
+    if (!spec.cache_dir.empty()) {
       std::cout << "; claims released, finished cells stored in " << spec.cache_dir
                 << " (rerun to resume)";
     }
@@ -339,8 +317,6 @@ int expand_command(int argc, char** argv) {
   // flag that does not apply so the caller knows exactly what to drop.
   const char* offending = nullptr;
   if (!cli.cache_dir.empty()) offending = "--cache-dir";
-  else if (cli.no_cache) offending = "--no-cache";
-  else if (cli.lease_s >= 0.0) offending = "--lease";
   else if (cli.progress_s > 0.0) offending = "--progress";
   if (offending != nullptr) {
     throw std::invalid_argument(std::string(offending) +
@@ -415,8 +391,6 @@ int serve_command(int argc, char** argv) {
   config.drain_threads = options.get_uint("serve.workers", config.drain_threads,
                                           caem::scenario::ScenarioSpec::kMaxThreads);
   if (config.drain_threads < 1) throw std::invalid_argument("serve.workers must be >= 1");
-  config.lease_s = options.get_double("serve.lease_s", config.lease_s);
-  if (!(config.lease_s > 0.0)) throw std::invalid_argument("serve.lease_s must be > 0");
   config.janitor_interval_s =
       options.get_double("serve.janitor_interval_s", config.janitor_interval_s);
   const std::vector<std::string> unknown = options.unconsumed();
@@ -437,8 +411,7 @@ int serve_command(int argc, char** argv) {
             << (config.store_budget_bytes == 0
                     ? std::string("unbounded")
                     : "budget " + std::to_string(config.store_budget_bytes) + " bytes")
-            << "), " << config.drain_threads << " drain thread(s), lease "
-            << caem::util::format_fixed(config.lease_s, 0) << " s\n"
+            << "), " << config.drain_threads << " drain thread(s)\n"
             << "serve: endpoint file " << endpoint_file(config.store_dir) << "\n"
             << std::flush;
   install_interrupt_handler();

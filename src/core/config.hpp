@@ -39,10 +39,9 @@ struct UplinkRoutingConfig {
   [[nodiscard]] bool has_geometric_sink() const noexcept {
     return sink_x_m >= 0.0 && sink_y_m >= 0.0;
   }
-  [[nodiscard]] bool is_default() const noexcept {
-    return kind == "direct" && max_hops == 4 && relay_rx_j_per_bit == 50e-9 &&
-           sink_x_m == -1.0 && sink_y_m == -1.0;
-  }
+  [[nodiscard]] bool is_default() const { return *this == UplinkRoutingConfig{}; }
+
+  bool operator==(const UplinkRoutingConfig&) const = default;
 };
 
 struct NetworkConfig {

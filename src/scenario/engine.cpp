@@ -113,40 +113,6 @@ class ProgressReporter {
   std::thread thread_;
 };
 
-/// RAII heartbeat on one claimed cell: re-stamps the claim every
-/// lease/3 so a healthy holder is never mistaken for a crashed one.
-/// Join (destruct) BEFORE releasing the claim — a refresh racing the
-/// release would resurrect the claim file.
-class LeaseRefresher {
- public:
-  LeaseRefresher(const ClaimBoard& board, std::size_t job, double lease_s)
-      : thread_([this, &board, job, lease_s] {
-          std::unique_lock<std::mutex> lock(mutex_);
-          const auto period = std::chrono::duration<double>(lease_s / 3.0);
-          while (!cv_.wait_for(lock, period, [this] { return stopped_; })) {
-            board.refresh(job);
-          }
-        }) {}
-
-  LeaseRefresher(const LeaseRefresher&) = delete;
-  LeaseRefresher& operator=(const LeaseRefresher&) = delete;
-
-  ~LeaseRefresher() {
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      stopped_ = true;
-    }
-    cv_.notify_all();
-    thread_.join();
-  }
-
- private:
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  bool stopped_ = false;
-  std::thread thread_;
-};
-
 }  // namespace
 
 JobCoords job_coords(const ScenarioSpec& spec, std::size_t index) {
@@ -178,10 +144,7 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
   for (const GridPoint& point : grid) configs.push_back(spec.config_at(point));
 
   result.total_jobs = grid.size() * protocol_count * reps;
-  result.cache_enabled = !spec.cache_dir.empty() && spec.use_cache;
-  if (result.cache_enabled && !(spec.lease_s > 0.0)) {
-    throw std::invalid_argument("--lease must be a positive number of seconds");
-  }
+  result.cache_enabled = !spec.cache_dir.empty();
 
   // Job order is (point, protocol, rep) row-major so fold-back is an
   // index computation, and each job's seed depends only on its rep
@@ -251,7 +214,8 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
     // moment it finishes.  Every lane repeats passes over its
     // unresolved cells until the CACHE holds them — claims gate
     // execution, never completion — so the drain also outlives a peer's
-    // crash: its stale claims expire and are stolen here.
+    // crash: the kernel frees a dead holder's claims and a lane here
+    // takes them over.
     const ResultCache cache(spec.cache_dir);
     std::vector<std::string> keys(result.total_jobs);
     std::vector<std::string> paths(result.total_jobs);
@@ -261,7 +225,6 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
                                 spec.base_seed + c.rep, spec.options);
       paths[i] = (std::filesystem::path(spec.cache_dir) / keys[i]).string();
     }
-    result.sweep_digest = sweep_digest(keys);
 
     // Execution provenance is stamped here — by the engine, only on
     // runs headed for the cache — so the simulator itself stays a pure
@@ -306,21 +269,12 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
     const std::size_t threads =
         spec.threads != 0 ? spec.threads
                           : std::max<std::size_t>(1, std::thread::hardware_concurrency());
-    const std::size_t lanes = std::max<std::size_t>(1, std::min(threads, queue.size()));
-    // One board (one claim token) per lane: a token is one claimant.
+    // No lanes (and no lock file touched) when the scan found every cell.
+    const std::size_t lanes = std::min(threads, queue.size());
+    // One board (one open file description, hence one claimant) per lane.
     std::vector<ClaimBoard> boards;
     boards.reserve(lanes);
-    for (std::size_t k = 0; k < lanes; ++k) {
-      boards.emplace_back(spec.cache_dir, result.sweep_digest, spec.lease_s);
-    }
-    if (!queue.empty()) {
-      std::error_code error;
-      std::filesystem::create_directories(boards.front().dir(), error);
-      if (error) {
-        throw std::runtime_error("cannot create claim dir '" + boards.front().dir() +
-                                 "': " + error.message());
-      }
-    }
+    for (std::size_t k = 0; k < lanes; ++k) boards.emplace_back(spec.cache_dir);
 
     struct Lane {
       std::size_t stored = 0;           ///< cells this lane executed and stored
@@ -330,22 +284,18 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
     };
     std::vector<Lane> lane_results(lanes);
     // Lanes of this process split the queue through `taken` instead of
-    // contending on claim files: the first pass takes each cell for
+    // contending on claims: the first pass takes each cell for
     // exactly one lane, which then owns it until it is resolved.
     std::vector<std::atomic<bool>> taken(result.total_jobs);
     std::atomic<bool> failed{false};
-    // While every cell a lane owns is held by a healthy peer, it blocks
-    // on the sweep's release epoch (work_queue.hpp, WAIT): a release in
-    // this process wakes it at once, and a cancel does too.  The
-    // timeout is the filesystem poll for peers in OTHER processes —
-    // their releases are invisible to the epoch — kept well under the
-    // lease so a stale claim is stolen soon after expiry.
-    const auto poll = std::chrono::duration<double>(std::min(0.5, spec.lease_s / 4.0));
-
+    // While every cell a lane owns is held by a peer, it blocks on the
+    // store's release epoch (work_queue.hpp, WAIT): a release in this
+    // process wakes it at once, and a cancel does too.  The timeout
+    // (ClaimBoard::kPeerPoll) picks up releases and deaths of peers in
+    // OTHER processes, which are invisible to the epoch.
     const auto drain = [&](std::size_t lane) {
       ClaimBoard& board = boards[lane];
       Lane& out = lane_results[lane];
-      std::size_t stolen_reported = 0;
       const auto settle_hit = [&](std::size_t job, core::RunResult& hit) {
         // A peer finished it since the scan: a hit, not ours.
         note_hit(paths[job]);
@@ -377,42 +327,37 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
               progressed = true;
               continue;
             }
-            if (board.try_claim(job) == ClaimBoard::Claim::kBusy) {
+            if (board.try_claim(keys[job]) == ClaimBoard::Claim::kBusy) {
               blocked.push_back(job);
               continue;
             }
             // Won.  Re-check under the claim: the previous holder may
             // have stored and released between our load and our acquire.
             if (std::optional<core::RunResult> hit = cache.load(paths[job])) {
-              board.release(job);
+              board.release(keys[job]);
               settle_hit(job, *hit);
               progressed = true;
               continue;
             }
             core::RunResult run;
             try {
-              // Heartbeat while computing; joined before the release so
-              // a late refresh can never resurrect a released claim.
-              const LeaseRefresher heartbeat(board, job, spec.lease_s);
               run = timed_run(job);
               cache.store(paths[job], run);
             } catch (...) {
-              // Never exit holding a claim: peers would wait a full
-              // lease to steal a cell nobody is computing.
-              board.release(job);
+              // Release now, so a peer waiting in this process wakes at
+              // once instead of at its next poll.
+              board.release(keys[job]);
               throw;
             }
-            board.release(job);
+            board.release(keys[job]);
             ++out.stored;
             runs[job] = std::move(run);
             progressed = true;
           }
-          sink.stolen.fetch_add(board.stolen() - stolen_reported);
-          stolen_reported = board.stolen();
           if (out.stopped) break;
           pending = std::move(blocked);
           if (!pending.empty() && !progressed) {
-            (void)board.wait_release(epoch, poll, spec.cancel);
+            (void)board.wait_release(epoch, ClaimBoard::kPeerPoll, spec.cancel);
           }
         }
       } catch (...) {
@@ -423,7 +368,6 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
     };
     {
       std::vector<std::thread> helpers;
-      helpers.reserve(lanes - 1);
       try {
         for (std::size_t k = 1; k < lanes; ++k) helpers.emplace_back(drain, k);
       } catch (...) {
@@ -431,7 +375,7 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
         for (std::thread& helper : helpers) helper.join();
         throw;
       }
-      drain(0);
+      if (lanes > 0) drain(0);
       for (std::thread& helper : helpers) helper.join();
     }
     reporter.stop();
@@ -443,7 +387,6 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
       result.executed_jobs += lane.stored;
       result.cache_hits += lane.hits;
       stopped = stopped || lane.stopped;
-      result.claims_stolen += boards[k].stolen();
     }
     // Every claim is released by now and every finished cell stored.
     if (stopped) throw SweepCancelled();

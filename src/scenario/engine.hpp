@@ -15,11 +15,12 @@
 //   * uncached — core::parallel_runs_ordered over the cost order, all
 //     in memory;
 //   * claimed — every cached run (`caem run --cache-dir`, the service's
-//     drains).  Cells are claimed in the shared cache dir
-//     (scenario/work_queue.hpp) and stored the moment they finish, so
-//     any number of processes can drain one sweep together and an
-//     interrupted run keeps every cell it completed.  Every run that
-//     drains to the end folds the whole sweep.
+//     drains).  Cells are claimed by record locks on the shared cache
+//     dir's claims.lock (scenario/work_queue.hpp) and stored the moment
+//     they finish, so any number of processes can drain one sweep (or
+//     sweeps sharing cells) together and an interrupted run keeps every
+//     cell it completed.  Every run that drains to the end folds the
+//     whole sweep.
 #pragma once
 
 #include <atomic>
@@ -43,7 +44,6 @@ struct ProgressSink {
   std::atomic<std::size_t> total{0};
   std::atomic<std::size_t> hits{0};
   std::atomic<std::size_t> executed{0};
-  std::atomic<std::size_t> stolen{0};  ///< stale claims stolen (claimed drains)
 };
 
 /// Thrown by run_scenario when ScenarioSpec::cancel flips mid-drain,
@@ -87,8 +87,6 @@ struct ScenarioResult {
   std::size_t cache_misses = 0;
   std::size_t executed_jobs = 0;
   double wall_s = 0.0;  ///< end-to-end engine time (expansion + runs + fold)
-  std::string sweep_digest;  ///< job-list digest (set whenever the cache is on)
-  std::size_t claims_stolen = 0;  ///< stale/corrupt claims this process stole
 };
 
 /// Decomposed flattened job index: job i is replication `rep` of
@@ -105,19 +103,19 @@ struct JobCoords {
 
 /// Run the scenario.
 ///
-/// Without a cache (spec.cache_dir empty, or use_cache off) every job
-/// runs in memory on spec.threads workers and the results fold.
+/// Without a cache (spec.cache_dir empty) every job runs in memory on
+/// spec.threads workers and the results fold.
 ///
 /// With the cache, every (config digest, protocol, seed) cell is first
 /// looked up in the ResultCache: hits are never executed, so re-running
 /// a sweep after editing one axis only executes the new cells.  The
-/// misses drain on spec.threads lanes, each claiming cells in the cache
-/// dir's claim board (crash-safe lease/steal protocol —
-/// scenario/work_queue.hpp) and storing each cell as it finishes.  The
-/// drain ends once every cell is stored — by this process or by any
-/// peer draining the same sweep — so a peer's crash delays nothing
-/// beyond one lease.  The run then folds the whole sweep, rendering
-/// byte-identically to an uncached run.
+/// misses drain on spec.threads lanes, each claiming cells with a
+/// record lock in the cache dir's claims.lock (scenario/work_queue.hpp)
+/// and storing each cell as it finishes.  The drain ends once every
+/// cell is stored — by this process or by any peer draining a sweep
+/// that shares the cell — and a peer's crash frees its claims at once.
+/// The run then folds the whole sweep, rendering byte-identically to an
+/// uncached run.
 ///
 /// A raised spec.cancel stops either drain between cells: cells in
 /// flight finish (and, cached, are stored and their claims released),

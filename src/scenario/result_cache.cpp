@@ -87,9 +87,8 @@ std::vector<CacheEntryInfo> ResultCache::enumerate() const {
   for (const fs::directory_entry& digest_dir : digests) {
     if (!digest_dir.is_directory(error) || error) continue;
     const std::string digest = digest_dir.path().filename().string();
-    // "sweeps" holds claims, "artifacts" rendered
-    // outputs (caem serve) — coordination state, not result entries.
-    if (digest == "sweeps" || digest == "artifacts") continue;
+    // "artifacts" holds caem serve's rendered outputs, not entries.
+    if (digest == "artifacts") continue;
     fs::directory_iterator cells(digest_dir.path(), error);
     if (error) continue;
     for (const fs::directory_entry& cell : cells) {

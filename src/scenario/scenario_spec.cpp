@@ -78,8 +78,6 @@ void ScenarioSpec::apply_entry(const std::string& key, const std::string& value)
       options.run_to_death = parse_bool(key, value);
     } else if (field == "threads") {
       threads = util::parse_uint_key(key, value, kMaxThreads);
-    } else if (field == "cache_dir") {
-      cache_dir = value;
     } else {
       throw std::invalid_argument("unknown scenario key '" + key + "'");
     }

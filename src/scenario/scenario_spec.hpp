@@ -4,7 +4,7 @@
 // includes, CRLF tolerated) with three reserved prefixes:
 //
 //   scenario.*   run control: name, protocols, seed, reps, max_sim_s,
-//                run_to_death, threads, cache_dir
+//                run_to_death, threads
 //   sweep.*      grid axes over NetworkConfig keys (list:/range: specs;
 //                a comma-joint key sweeps several keys in lockstep)
 //   output.*     artifact paths: output.csv, output.json, output.trace
@@ -63,18 +63,10 @@ struct ScenarioSpec {
   /// cell's simulated span).
   std::size_t trace_points = 101;
 
-  /// scenario.cache_dir / `caem run --cache-dir`: digest-keyed result
-  /// cache root ("" = caching disabled).  See scenario/result_cache.hpp.
+  /// `caem run --cache-dir`: digest-keyed result cache root; the run is
+  /// cached iff it is non-empty.  Set by the caller, never by a scenario
+  /// file.  See scenario/result_cache.hpp and scenario/work_queue.hpp.
   std::string cache_dir;
-  /// `caem run --no-cache`: keep cache_dir (for provenance/stats) but
-  /// neither read nor write it.
-  bool use_cache = true;
-
-  /// `caem run --cache-dir=<dir> --lease=<secs>`: staleness horizon
-  /// for this run's claims (scenario/work_queue.hpp) — a claim not
-  /// refreshed for this long is presumed crashed and stolen.  The
-  /// holder refreshes every lease_s/3 while computing.
-  double lease_s = 30.0;
 
   /// `caem run --progress[=secs]` (CLI-only): emit a one-line progress
   /// report (cells done/total, hit/executed split, cells/s, ETA) every

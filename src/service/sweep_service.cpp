@@ -77,6 +77,14 @@ SweepService::SweepService(ServeConfig config) : config_(std::move(config)) {
     throw std::runtime_error("SweepService: cannot create store '" + config_.store_dir +
                              "': " + error.message());
   }
+  // A previous service's artifacts are reachable only through a reused
+  // sweep id, so they go before this service hands out s1.
+  const fs::path artifacts = fs::path(config_.store_dir) / "artifacts";
+  fs::remove_all(artifacts, error);
+  if (error) {
+    throw std::runtime_error("SweepService: cannot clear '" + artifacts.string() +
+                             "': " + error.message());
+  }
   janitor_ = std::make_unique<CacheJanitor>(config_.store_dir, config_.store_budget_bytes,
                                             [this] { return pinned_paths(); });
   if (config_.janitor_interval_s > 0.0 && config_.store_budget_bytes > 0) {
@@ -166,10 +174,8 @@ HttpResponse SweepService::submit(const HttpRequest& request) {
     return error_response(400, error.what());
   }
 
-  // The service owns execution policy: the store is the cache and
-  // caching is on, whatever the body says.
+  // The service owns execution policy: the store is the cache.
   sweep->spec.cache_dir = config_.store_dir;
-  sweep->spec.use_cache = true;
   sweep->spec.progress_s = 0.0;
 
   // Expand the grid NOW: a bad axis/config fails the submit with a 400
@@ -229,7 +235,6 @@ HttpResponse SweepService::sweep_status(const std::string& id) {
   const Sweep& sweep = *it->second;
 
   const std::size_t executed = sweep.progress.executed.load();
-  const std::size_t stolen = sweep.progress.stolen.load();
   const std::size_t done = std::min(sweep.total_jobs, sweep.precached + executed);
   double elapsed_s = sweep.wall_s;
   if (sweep.state == State::kRunning) {
@@ -242,7 +247,7 @@ HttpResponse SweepService::sweep_status(const std::string& id) {
   out << "{\"id\":\"" << sweep.id << "\",\"state\":\"" << to_string(sweep.state) << '"'
       << ",\"total\":" << sweep.total_jobs << ",\"done\":" << done
       << ",\"precached\":" << sweep.precached << ",\"executed\":" << executed
-      << ",\"stolen\":" << stolen << ",\"cells_per_s\":" << util::format_full(rate)
+      << ",\"cells_per_s\":" << util::format_full(rate)
       << ",\"eta_s\":";
   if (done >= sweep.total_jobs) {
     out << 0;
@@ -398,7 +403,6 @@ void SweepService::run_sweep(Sweep& sweep) {
   try {
     scenario::ScenarioSpec run = sweep.spec;
     run.threads = std::max<std::size_t>(1, config_.drain_threads);
-    run.lease_s = config_.lease_s;
     run.progress_sink = &sweep.progress;
     run.cancel = &sweep.cancel;
     run.record_touches = true;

@@ -9,9 +9,8 @@
 //                               appended as ordinary key=value lines —
 //                               last assignment wins, same as the CLI)
 //   GET  /sweeps/<id>           live progress JSON: done/total cells,
-//                               hit/executed split, stolen claims,
-//                               cells/s, ETA — safe to poll from any
-//                               number of clients
+//                               hit/executed split, cells/s, ETA —
+//                               safe to poll from any number of clients
 //   GET  /sweeps/<id>/artifacts/<path>   rendered outputs (CSV/JSON/
 //                               trace files), byte-identical to a
 //                               direct `caem run` of the same scenario
@@ -24,16 +23,21 @@
 // Execution reuses the engine wholesale — no second scheduler: a
 // submitted sweep is ONE cached run_scenario against the store with
 // serve.workers lanes.  The lanes split the queue in memory, claim each
-// cell in the store's ClaimBoard (so external `caem run --cache-dir`
-// processes pointed at the store can join the drain), store every cell
-// as it finishes, and fold from memory into artifacts byte-identical to
-// `caem run`.  Progress is observed through ScenarioSpec::progress_sink
-// and cancellation through ScenarioSpec::cancel — the hooks exist
-// precisely so the service never has to reimplement drain logic.
+// cell with a record lock on the store's claims.lock (so external `caem
+// run --cache-dir` processes pointed at the store can join the drain),
+// store every cell as it finishes, and fold from memory into artifacts
+// byte-identical to `caem run`.  Progress is observed through
+// ScenarioSpec::progress_sink and cancellation through
+// ScenarioSpec::cancel — the hooks exist precisely so the service never
+// has to reimplement drain logic.
 //
 // The store is bounded by a CacheJanitor (serve.store_budget_bytes)
 // scoring entries touches x wall_ms / bytes; entries of queued/running
 // sweeps are pinned so eviction can never run a live drain backwards.
+//
+// Artifacts render into <store>/artifacts/<id>/.  Sweep ids restart at
+// s1 with every service, so the constructor empties that tree: a new
+// daemon must never serve a previous one's files under a reused id.
 #pragma once
 
 #include <atomic>
@@ -59,7 +63,6 @@ struct ServeConfig {
   std::string store_dir;                 ///< result store root (required)
   std::uint64_t store_budget_bytes = 0;  ///< 0 = unbounded store
   std::size_t drain_threads = 2;         ///< drain lanes per sweep
-  double lease_s = 30.0;                 ///< claim lease for the drain
   double janitor_interval_s = 2.0;       ///< <= 0: sweep only on demand
 };
 

@@ -11,12 +11,9 @@ namespace caem::util {
 
 namespace fs = std::filesystem;
 
-namespace {
-
-/// Write `bytes` to a fresh temp name next to `target` (unique per
-/// process and call, so concurrent writers never interleave into one
-/// temp file) and return it.  Throws with the temp cleaned up.
-fs::path write_temp(const fs::path& target, std::string_view bytes, const std::string& what) {
+void atomic_write_file(const std::string& path, std::string_view bytes,
+                       const std::string& what) {
+  const fs::path target(path);
   std::error_code error;
   // A bare file name has no parent to create (and create_directories
   // rejects the empty path).
@@ -25,30 +22,24 @@ fs::path write_temp(const fs::path& target, std::string_view bytes, const std::s
     throw std::runtime_error(what + ": cannot create '" + target.parent_path().string() +
                              "': " + error.message());
   }
+  // A temp name unique per process and call, so concurrent writers never
+  // interleave into one temp file.
   static std::atomic<unsigned long> write_counter{0};
   const fs::path temp = target.string() + ".tmp." + std::to_string(::getpid()) + "." +
                         std::to_string(write_counter.fetch_add(1));
-  std::ofstream out(temp, std::ios::binary | std::ios::trunc);
-  if (!out) throw std::runtime_error(what + ": cannot write '" + temp.string() + "'");
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  out.flush();
-  if (!out) {
-    out.close();
-    fs::remove(temp, error);
-    throw std::runtime_error(what + ": short write to '" + temp.string() + "'");
+  {
+    std::ofstream out(temp, std::ios::binary | std::ios::trunc);
+    if (!out) throw std::runtime_error(what + ": cannot write '" + temp.string() + "'");
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    out.flush();
+    if (!out) {
+      out.close();
+      fs::remove(temp, error);
+      throw std::runtime_error(what + ": short write to '" + temp.string() + "'");
+    }
   }
-  return temp;
-}
-
-}  // namespace
-
-void atomic_write_file(const std::string& path, std::string_view bytes,
-                       const std::string& what) {
-  const fs::path target(path);
   // Whoever renames last wins; readers racing the rename see either the
   // old complete file or the new complete file, never a torn one.
-  const fs::path temp = write_temp(target, bytes, what);
-  std::error_code error;
   fs::rename(temp, target, error);
   if (error) {
     std::error_code ignored;
@@ -56,24 +47,6 @@ void atomic_write_file(const std::string& path, std::string_view bytes,
     throw std::runtime_error(what + ": cannot finalise '" + target.string() +
                              "': " + error.message());
   }
-}
-
-bool atomic_create_file(const std::string& path, std::string_view bytes,
-                        const std::string& what) {
-  const fs::path target(path);
-  const fs::path temp = write_temp(target, bytes, what);
-  // link(2) fails with EEXIST when the target is already present, and
-  // that check-and-create is one atomic step in the filesystem — exactly
-  // one of N racing creators succeeds, and its content is already
-  // complete because the temp was fully written and flushed above.
-  std::error_code error;
-  fs::create_hard_link(temp, target, error);
-  std::error_code ignored;
-  fs::remove(temp, ignored);
-  if (!error) return true;
-  if (error == std::errc::file_exists) return false;
-  throw std::runtime_error(what + ": cannot create '" + target.string() +
-                           "': " + error.message());
 }
 
 }  // namespace caem::util

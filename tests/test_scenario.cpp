@@ -450,15 +450,11 @@ TEST(Cache, EditedAxisExecutesOnlyTheNewCells) {
 
 TEST(Cache, NoCacheFlagAndBarrierModeContracts) {
   ScenarioSpec spec = tiny_spec();
-  spec.cache_dir = (fs::temp_directory_path() / "caem_test_never_created").string();
-  spec.use_cache = false;  // --no-cache: neither read nor write
-  const ScenarioResult result = run_scenario(spec);
-  EXPECT_FALSE(result.cache_enabled);
-  EXPECT_EQ(result.executed_jobs, result.total_jobs);
-  EXPECT_FALSE(fs::exists(spec.cache_dir));
-
   // There is no barrier mode to select: the key is unknown like any typo.
   EXPECT_THROW(spec.apply_cli_overrides(util::Config::from_args({"scenario.flatten=0"})),
+               std::invalid_argument);
+  // Nor does a scenario choose its cache: only `caem run --cache-dir` does.
+  EXPECT_THROW(spec.apply_cli_overrides(util::Config::from_args({"scenario.cache_dir=c"})),
                std::invalid_argument);
 }
 

@@ -20,6 +20,8 @@
 #include "scenario/engine.hpp"
 #include "scenario/result_cache.hpp"
 #include "scenario/scenario_spec.hpp"
+#include "scenario/sweep.hpp"
+#include "scenario/work_queue.hpp"
 #include "service/cache_janitor.hpp"
 #include "service/http_endpoint.hpp"
 #include "service/sweep_service.hpp"
@@ -76,7 +78,6 @@ ServeConfig serve_config(const fs::path& store) {
   ServeConfig config;
   config.store_dir = store.string();
   config.drain_threads = 2;
-  config.lease_s = 5.0;
   config.janitor_interval_s = 0.0;  // on-demand only unless a test opts in
   return config;
 }
@@ -189,6 +190,33 @@ TEST(SweepService, SubmitDrainFetchMatchesDirectRun) {
   service.stop();
   fs::remove_all(store);
   fs::remove_all(ref);
+}
+
+TEST(SweepService, RestartServesNoStaleArtifacts) {
+  // Sweep ids restart at s1 with every service, so a restarted daemon
+  // must not list or serve what the previous one rendered under s1.
+  const fs::path store = scratch_dir("restart_store");
+  const std::string trace = "traces/p0_pure-leach.csv";
+  {
+    SweepService first(serve_config(store));
+    const std::string traced = std::string(kScenarioText) + "output.trace = traces\n";
+    ASSERT_EQ(first.handle(make_request("POST", "/sweeps", traced)).status, 201);
+    ASSERT_TRUE(first.wait_idle(120.0));
+    EXPECT_EQ(first.handle(make_request("GET", "/sweeps/s1/artifacts/" + trace)).status, 200);
+  }
+  SweepService second(serve_config(store));
+  ASSERT_EQ(second.handle(make_request("POST", "/sweeps", kScenarioText)).status, 201);
+  ASSERT_TRUE(second.wait_idle(120.0));
+  const HttpResponse status = second.handle(make_request("GET", "/sweeps/s1"));
+  EXPECT_TRUE(contains(status.body, "\"artifacts\":[\"out.csv\",\"out.json\"]") ||
+              contains(status.body, "\"artifacts\":[\"out.json\",\"out.csv\"]"))
+      << status.body;
+  EXPECT_EQ(second.handle(make_request("GET", "/sweeps/s1/artifacts/" + trace)).status, 404);
+  // Claims live in the store's lock file, never in per-sweep trees.
+  EXPECT_TRUE(fs::exists(store / "claims.lock"));
+  EXPECT_FALSE(fs::exists(store / "sweeps"));
+  second.stop();
+  fs::remove_all(store);
 }
 
 TEST(SweepService, ConcurrentPollersSeeConsistentProgress) {
@@ -460,25 +488,24 @@ TEST(CacheJanitor, PinnedEntriesSurviveEvenOverBudget) {
 
 // ------------------------------------------------- interrupted cached run
 
-/// Regular files living under any .../claims/ directory.
-std::size_t claim_files(const fs::path& cache_dir) {
-  std::size_t count = 0;
-  std::error_code error;
-  for (fs::recursive_directory_iterator walk(cache_dir, error), end; !error && walk != end;
-       walk.increment(error)) {
-    if (walk->is_regular_file(error) && walk->path().parent_path().filename() == "claims") {
-      ++count;
-    }
-  }
-  return count;
-}
-
 TEST(Engine, InterruptedCachedRunReleasesClaimsAndResumes) {
   const fs::path cache_dir = scratch_dir("run_interrupt");
   scenario::ScenarioSpec spec =
       scenario::ScenarioSpec::from_config(util::Config::from_text(kScenarioText));
   spec.cache_dir = cache_dir.string();
-  spec.lease_s = 5.0;
+
+  // Cell keys in job order; job 0's is held by an in-process peer, so
+  // the drain cannot finish before the interrupt however fast its cells.
+  const scenario::ResultCache cache(cache_dir.string());
+  const std::vector<scenario::GridPoint> grid = scenario::expand_grid(spec.axes);
+  std::vector<std::string> keys;
+  for (std::size_t i = 0; i < spec.total_jobs(); ++i) {
+    const scenario::JobCoords c = scenario::job_coords(spec, i);
+    keys.push_back(cache.entry_key(spec.config_at(grid[c.point]), spec.protocols[c.protocol],
+                                   spec.base_seed + c.rep, spec.options));
+  }
+  scenario::ClaimBoard peer(cache_dir.string());
+  ASSERT_EQ(peer.try_claim(keys[0]), scenario::ClaimBoard::Claim::kWon);
 
   // Simulate SIGINT landing mid-drain: the moment the first cell is
   // stored, raise the cancel flag the CLI's signal handler would set.
@@ -489,27 +516,34 @@ TEST(Engine, InterruptedCachedRunReleasesClaimsAndResumes) {
   std::thread interrupter([&sink, &cancel] {
     while (sink.executed.load() == 0) std::this_thread::yield();
     cancel.store(true);
+    scenario::ClaimBoard::wake_waiters();
   });
   EXPECT_THROW((void)scenario::run_scenario(spec), scenario::SweepCancelled);
   interrupter.join();
+  peer.release(keys[0]);
 
   const std::size_t stored = sink.executed.load();
   EXPECT_GE(stored, 1u);
   EXPECT_LT(stored, spec.total_jobs());
-  // An interrupted run leaves NO claim behind: nothing for peers or the
-  // resume to wait a lease on.
-  EXPECT_EQ(claim_files(cache_dir), 0u);
+  // An interrupted run leaves NO claim behind: a fresh claimant wins
+  // every cell at once, and the store holds only the lock file.
+  scenario::ClaimBoard probe(cache_dir.string());
+  for (const std::string& key : keys) {
+    EXPECT_EQ(probe.try_claim(key), scenario::ClaimBoard::Claim::kWon) << key;
+    probe.release(key);
+  }
+  EXPECT_TRUE(fs::exists(cache_dir / "claims.lock"));
+  EXPECT_FALSE(fs::exists(cache_dir / "sweeps"));
 
   // The sweep resumes cleanly: a fresh run drains the remainder
-  // immediately (no lease to wait out) and folds the full sweep; a
-  // later fold is pure cache hits.
+  // immediately and folds the full sweep; a later fold is pure cache
+  // hits.
   scenario::ScenarioSpec resume = spec;
   resume.progress_sink = nullptr;
   resume.cancel = nullptr;
   const scenario::ScenarioResult finished = scenario::run_scenario(resume);
   EXPECT_EQ(finished.cache_hits, stored);
   EXPECT_EQ(finished.executed_jobs + finished.cache_hits, finished.total_jobs);
-  EXPECT_EQ(finished.claims_stolen, 0u);
   EXPECT_FALSE(finished.points.empty());
 
   const scenario::ScenarioResult folded = scenario::run_scenario(resume);

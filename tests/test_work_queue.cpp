@@ -1,16 +1,18 @@
 // Tests for dynamic work claiming (the claim drain every cached sweep
-// uses): the ClaimBoard acquire/lease/steal/release protocol, the
-// longest-expected-first cost model, the sweep digest, concurrent-writer
-// atomicity of cache entries and artifacts, the equivalence batteries
-// (N concurrent cached runs + a later fold == one uncached run, byte for
-// byte), crash recovery (half-stored cells skipped, stale claims stolen
-// exactly once), cancellation that keeps finished cells, the stats
-// contract, the progress reporter, and the lease validation surface.
+// uses): the ClaimBoard record-lock acquire/release protocol and its
+// behaviour when a holder dies, the longest-expected-first cost model,
+// concurrent-writer atomicity of cache entries and artifacts, the
+// equivalence batteries (N concurrent cached runs + a later fold == one
+// uncached run, byte for byte), crash recovery (half-stored cells
+// skipped, a dead holder's cells taken over), sweeps sharing cells,
+// cancellation that keeps finished cells, the stats contract, the
+// progress reporter, and the store validation surface.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <csignal>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -18,6 +20,8 @@
 #include <thread>
 #include <vector>
 
+#include <fcntl.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include "scenario/cost_model.hpp"
@@ -40,221 +44,177 @@ fs::path scratch_dir(const std::string& name) {
   return dir;
 }
 
-/// ClaimBoard rooted in a fresh claims dir (boards never create it —
-/// the engine does — so tests do it here).
-ClaimBoard make_board(const fs::path& cache, const std::string& sweep, double lease_s) {
-  ClaimBoard board(cache.string(), sweep, lease_s);
-  fs::create_directories(board.dir());
-  return board;
+/// A claim holder in another process: a forked child that takes the
+/// claim lock on every key, reports through a pipe, then sleeps until
+/// it is killed.  The child makes only async-signal-safe calls (the
+/// parent may run other threads), so everything it needs is computed
+/// before the fork.
+class ForeignHolder {
+ public:
+  ForeignHolder(const fs::path& cache, const std::vector<std::string>& keys) {
+    const std::string lock_path = (cache / "claims.lock").string();
+    std::vector<std::int64_t> offsets;
+    for (const std::string& key : keys) offsets.push_back(ClaimBoard::lock_offset(key));
+    int report[2];
+    if (::pipe(report) != 0) throw std::runtime_error("pipe failed");
+    pid_ = ::fork();
+    if (pid_ == 0) {
+      const int fd = ::open(lock_path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0666);
+      char held = fd >= 0 ? 'y' : 'n';
+      for (const std::int64_t offset : offsets) {
+        struct flock lock {};
+        lock.l_type = F_WRLCK;
+        lock.l_whence = SEEK_SET;
+        lock.l_start = static_cast<off_t>(offset);
+        lock.l_len = 1;
+        if (::fcntl(fd, F_OFD_SETLK, &lock) != 0) held = 'n';
+      }
+      (void)::write(report[1], &held, 1);
+      for (;;) ::pause();
+    }
+    ::close(report[1]);
+    char held = 'n';
+    const bool reported = ::read(report[0], &held, 1) == 1;
+    ::close(report[0]);
+    if (!reported || held != 'y') {
+      kill();
+      throw std::runtime_error("foreign holder could not take its claims");
+    }
+  }
+  ForeignHolder(const ForeignHolder&) = delete;
+  ForeignHolder& operator=(const ForeignHolder&) = delete;
+  ~ForeignHolder() { kill(); }
+
+  /// SIGKILL the holder and reap it: its claims are gone once this returns.
+  void kill() {
+    if (pid_ <= 0) return;
+    ::kill(pid_, SIGKILL);
+    int status = 0;
+    ::waitpid(pid_, &status, 0);
+    pid_ = -1;
+  }
+
+ private:
+  pid_t pid_ = -1;
+};
+
+/// True when the store holds the claim lock file and no per-sweep claim
+/// tree.
+bool claim_layout_ok(const fs::path& cache) {
+  return fs::exists(cache / "claims.lock") && !fs::exists(cache / "sweeps");
 }
 
-constexpr const char* kSweep = "feedfacefeedface";
+constexpr const char* kKey = "feedfacefeedface/leach_s1_h8_d0.json";
 
 // ---------------------------------------------------------- claim board
 
 TEST(ClaimBoard, CtorValidatesInputs) {
-  EXPECT_THROW((ClaimBoard("", kSweep, 1.0)), std::invalid_argument);
-  EXPECT_THROW((ClaimBoard("/tmp", "", 1.0)), std::invalid_argument);
-  EXPECT_THROW((ClaimBoard("/tmp", kSweep, 0.0)), std::invalid_argument);
-  EXPECT_THROW((ClaimBoard("/tmp", kSweep, -1.0)), std::invalid_argument);
+  EXPECT_THROW((ClaimBoard("")), std::invalid_argument);
+  // A store that cannot be created fails by name.
+  const fs::path dir = scratch_dir("claim_ctor");
+  std::ofstream(dir / "file") << "x";
+  try {
+    const ClaimBoard board((dir / "file" / "store").string());
+    ADD_FAILURE() << "a store under a regular file was accepted";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find((dir / "file" / "store").string()),
+              std::string::npos)
+        << error.what();
+  }
+  // The lock file is created with the board and stays empty.
+  const ClaimBoard board((dir / "store").string());
+  EXPECT_EQ(board.lock_path(), (dir / "store" / "claims.lock").string());
+  EXPECT_EQ(fs::file_size(board.lock_path()), 0u);
+  fs::remove_all(dir);
 }
 
 TEST(ClaimBoard, AcquirePeekReclaimReleaseRoundTrip) {
   const fs::path cache = scratch_dir("claim_rt");
-  ClaimBoard board = make_board(cache, kSweep, 30.0);
-  EXPECT_EQ(board.peek(3), std::nullopt);  // nothing claimed yet
+  ClaimBoard board(cache.string());
+  ASSERT_EQ(board.try_claim(kKey), ClaimBoard::Claim::kWon);
+  // Re-claiming our own cell is idempotent (a retry loop may do it).
+  EXPECT_EQ(board.try_claim(kKey), ClaimBoard::Claim::kWon);
 
-  const std::uint64_t before = ClaimBoard::now_ms();
-  ASSERT_EQ(board.try_claim(3), ClaimBoard::Claim::kWon);
-  const std::uint64_t after = ClaimBoard::now_ms();
-
-  const auto info = board.peek(3);
-  ASSERT_TRUE(info.has_value());
-  EXPECT_EQ(info->token, board.token());
-  EXPECT_EQ(info->host, board.host());
-  EXPECT_EQ(info->pid, static_cast<std::uint64_t>(::getpid()));
-  EXPECT_EQ(info->job, 3u);
-  EXPECT_EQ(info->lease_s, 30.0);
-  EXPECT_GE(info->epoch_ms, before);
-  EXPECT_LE(info->epoch_ms, after);
-
-  // Re-claiming our own cell is idempotent (crash-restart of the same
-  // board token would be a different token, but a retry loop isn't).
-  EXPECT_EQ(board.try_claim(3), ClaimBoard::Claim::kWon);
-
-  // A second worker sees a fresh foreign claim: busy, no steal.
-  ClaimBoard other = make_board(cache, kSweep, 30.0);
-  EXPECT_NE(other.token(), board.token());
-  EXPECT_EQ(other.try_claim(3), ClaimBoard::Claim::kBusy);
-  EXPECT_EQ(other.stolen(), 0u);
+  // A second board — another claimant, even in this process — is busy.
+  ClaimBoard other(cache.string());
+  EXPECT_EQ(other.try_claim(kKey), ClaimBoard::Claim::kBusy);
+  // Claims are per key: a different cell is free.
+  EXPECT_EQ(other.try_claim("feedfacefeedface/leach_s2_h8_d0.json"), ClaimBoard::Claim::kWon);
 
   // Release frees the cell for anyone.
-  board.release(3);
-  EXPECT_EQ(board.peek(3), std::nullopt);
-  EXPECT_EQ(other.try_claim(3), ClaimBoard::Claim::kWon);
-  EXPECT_EQ(other.stolen(), 0u);  // acquired clean, not stolen
+  board.release(kKey);
+  EXPECT_EQ(other.try_claim(kKey), ClaimBoard::Claim::kWon);
+  EXPECT_EQ(board.try_claim(kKey), ClaimBoard::Claim::kBusy);
+  EXPECT_TRUE(claim_layout_ok(cache));
+  EXPECT_EQ(fs::file_size(board.lock_path()), 0u);  // a lock table, never data
   fs::remove_all(cache);
 }
 
 TEST(ClaimBoard, ContendedAcquireHasExactlyOneWinner) {
-  // The tentpole safety property: N workers race to claim ONE cell and
-  // exactly one wins — link(2) either creates or fails, never replaces.
+  // The safety property: N boards race to claim ONE cell and exactly one
+  // wins — the kernel grants a write lock on a byte to one holder.
   const fs::path cache = scratch_dir("claim_race");
   constexpr std::size_t kRacers = 8;
   std::vector<ClaimBoard> boards;
   boards.reserve(kRacers);
-  for (std::size_t i = 0; i < kRacers; ++i) boards.push_back(make_board(cache, kSweep, 30.0));
+  for (std::size_t i = 0; i < kRacers; ++i) boards.emplace_back(cache.string());
 
   std::atomic<std::size_t> ready{0};
-  std::atomic<std::size_t> wins{0};
   std::atomic<std::size_t> busy{0};
+  std::atomic<int> winner{-1};
   std::vector<std::thread> racers;
   for (std::size_t i = 0; i < kRacers; ++i) {
     racers.emplace_back([&, i] {
       ++ready;
       while (ready.load() < kRacers) std::this_thread::yield();  // start together
-      if (boards[i].try_claim(0) == ClaimBoard::Claim::kWon) {
-        ++wins;
+      if (boards[i].try_claim(kKey) == ClaimBoard::Claim::kWon) {
+        winner.store(static_cast<int>(i));
       } else {
         ++busy;
       }
     });
   }
   for (std::thread& t : racers) t.join();
-  EXPECT_EQ(wins.load(), 1u);
-  EXPECT_EQ(busy.load(), kRacers - 1);
-  std::size_t stolen_total = 0;
-  for (const ClaimBoard& board : boards) stolen_total += board.stolen();
-  EXPECT_EQ(stolen_total, 0u);  // a live race never steals
-  // The standing claim belongs to the winner (some board's token).
-  const auto info = boards[0].peek(0);
-  ASSERT_TRUE(info.has_value());
-  const bool owned = std::any_of(boards.begin(), boards.end(), [&](const ClaimBoard& board) {
-    return board.token() == info->token;
-  });
-  EXPECT_TRUE(owned);
+  EXPECT_EQ(busy.load(), kRacers - 1);  // so exactly one won
+  ASSERT_GE(winner.load(), 0);
+  // The standing claim is the winner's: it re-claims, the rest stay busy
+  // until it releases.
+  ClaimBoard& held = boards[static_cast<std::size_t>(winner.load())];
+  ClaimBoard& loser = boards[(static_cast<std::size_t>(winner.load()) + 1) % kRacers];
+  EXPECT_EQ(held.try_claim(kKey), ClaimBoard::Claim::kWon);
+  EXPECT_EQ(loser.try_claim(kKey), ClaimBoard::Claim::kBusy);
+  held.release(kKey);
+  EXPECT_EQ(loser.try_claim(kKey), ClaimBoard::Claim::kWon);
   fs::remove_all(cache);
 }
 
-TEST(ClaimBoard, StaleClaimIsStolenExactlyOnce) {
-  const fs::path cache = scratch_dir("claim_steal");
+TEST(ClaimBoard, DeadHolderIsFreeAtOnce) {
+  // A holder killed mid-cell frees its claim the moment it dies.
+  const fs::path cache = scratch_dir("claim_dead");
+  ClaimBoard board(cache.string());
+  ForeignHolder holder(cache, {kKey});
+  EXPECT_EQ(board.try_claim(kKey), ClaimBoard::Claim::kBusy);
+  holder.kill();
+  EXPECT_EQ(board.try_claim(kKey), ClaimBoard::Claim::kWon);
+  fs::remove_all(cache);
+}
+
+TEST(ClaimBoard, ClosingAnotherBoardKeepsMyClaim) {
+  // Claims belong to a board's open file, not to the process: closing
+  // another board on the same store (a finished lane) must not drop
+  // them.  Process-owned F_SETLK locks would fail here twice over.
+  const fs::path cache = scratch_dir("claim_close");
+  ClaimBoard mine(cache.string());
+  ASSERT_EQ(mine.try_claim(kKey), ClaimBoard::Claim::kWon);
+  const std::string theirs = "feedfacefeedface/leach_s2_h8_d0.json";
   {
-    // A "crashed" worker: claims with a 50 ms lease and never refreshes.
-    ClaimBoard crashed = make_board(cache, kSweep, 0.05);
-    ASSERT_EQ(crashed.try_claim(7), ClaimBoard::Claim::kWon);
-  }
-  std::this_thread::sleep_for(std::chrono::milliseconds(150));  // lease expires
-
-  constexpr std::size_t kStealers = 6;
-  std::vector<ClaimBoard> boards;
-  boards.reserve(kStealers);
-  for (std::size_t i = 0; i < kStealers; ++i) boards.push_back(make_board(cache, kSweep, 30.0));
-  std::atomic<std::size_t> ready{0};
-  std::atomic<std::size_t> wins{0};
-  std::vector<std::thread> stealers;
-  for (std::size_t i = 0; i < kStealers; ++i) {
-    stealers.emplace_back([&, i] {
-      ++ready;
-      while (ready.load() < kStealers) std::this_thread::yield();
-      if (boards[i].try_claim(7) == ClaimBoard::Claim::kWon) ++wins;
-    });
-  }
-  for (std::thread& t : stealers) t.join();
-
-  // Exactly one racer ended up holding the cell, and the stale claim
-  // was evicted exactly once across ALL racers (the rename is the
-  // test-and-take; losers observed the winner's fresh claim as busy).
-  EXPECT_EQ(wins.load(), 1u);
-  std::size_t stolen_total = 0;
-  for (const ClaimBoard& board : boards) stolen_total += board.stolen();
-  EXPECT_EQ(stolen_total, 1u);
-  const auto info = boards[0].peek(7);
-  ASSERT_TRUE(info.has_value());
-  EXPECT_NE(info->lease_s, 0.05);  // the new holder's claim, not the corpse
-  fs::remove_all(cache);
-}
-
-TEST(ClaimBoard, RefreshKeepsALongRunningHolderSafe) {
-  // A healthy holder refreshing inside its lease is never stolen from,
-  // even when the cell takes many leases to compute.
-  const fs::path cache = scratch_dir("claim_refresh");
-  ClaimBoard holder = make_board(cache, kSweep, 1.0);
-  ClaimBoard vulture = make_board(cache, kSweep, 1.0);
-  ASSERT_EQ(holder.try_claim(2), ClaimBoard::Claim::kWon);
-  for (int i = 0; i < 6; ++i) {  // 1.5 s total: past the lease without refresh
-    std::this_thread::sleep_for(std::chrono::milliseconds(250));
-    holder.refresh(2);
-    EXPECT_EQ(vulture.try_claim(2), ClaimBoard::Claim::kBusy) << "iteration " << i;
-  }
-  EXPECT_EQ(vulture.stolen(), 0u);
-  const auto info = holder.peek(2);
-  ASSERT_TRUE(info.has_value());
-  EXPECT_EQ(info->token, holder.token());
-  fs::remove_all(cache);
-}
-
-/// Fabricate a foreign claim with an arbitrary stamp — the fixture for
-/// clock-skew scenarios a real ClaimBoard cannot produce itself.
-void write_foreign_claim(const fs::path& claims_dir, const std::string& sweep, std::size_t job,
-                         std::uint64_t epoch_ms, double lease_s) {
-  std::ofstream(claims_dir / ("job_" + std::to_string(job) + ".claim"), std::ios::trunc)
-      << "v = 1\nsweep = " << sweep << "\njob = " << job
-      << "\ntoken = skewed-host:1:0-deadbeef\nhost = skewed-host\npid = 1\nepoch_ms = "
-      << epoch_ms << "\nlease_s = " << lease_s << "\n";
-}
-
-TEST(ClaimBoard, FutureDatedClaimBeyondOneLeaseIsStolen) {
-  // A host with a fast clock stamps its claim in this process's future.
-  // Before the skew guard such a claim could NEVER expire here — local
-  // now_ms() <= epoch_ms + lease forever — so the cell was unstealable
-  // until the skewed host itself aged it out.  A stamp more than one
-  // lease ahead must read as corrupt/stale and be stolen immediately.
-  const fs::path cache = scratch_dir("claim_future");
-  ClaimBoard board = make_board(cache, kSweep, 30.0);
-  const double lease_s = 0.5;
-  write_foreign_claim(board.dir(), kSweep, 9,
-                      ClaimBoard::now_ms() + static_cast<std::uint64_t>(3600.0 * 1000.0),
-                      lease_s);
-  EXPECT_EQ(board.try_claim(9), ClaimBoard::Claim::kWon);
-  EXPECT_EQ(board.stolen(), 1u);
-  const auto info = board.peek(9);
-  ASSERT_TRUE(info.has_value());
-  EXPECT_EQ(info->token, board.token());
-  fs::remove_all(cache);
-}
-
-TEST(ClaimBoard, SkewWithinOneLeaseReadsHealthyInBothDirections) {
-  // Modest clock skew — under one lease, past or future — must NOT get
-  // a healthy holder stolen from: wall clocks across hosts are never
-  // perfectly aligned, and the lease is the agreed tolerance.
-  const fs::path cache = scratch_dir("claim_skew_ok");
-  ClaimBoard board = make_board(cache, kSweep, 30.0);
-  const double lease_s = 60.0;
-  // Stamped 20 s in the future (fast host, within one lease): healthy.
-  write_foreign_claim(board.dir(), kSweep, 11, ClaimBoard::now_ms() + 20'000, lease_s);
-  EXPECT_EQ(board.try_claim(11), ClaimBoard::Claim::kBusy);
-  // Stamped 20 s in the past (slow host, within one lease): healthy.
-  write_foreign_claim(board.dir(), kSweep, 12, ClaimBoard::now_ms() - 20'000, lease_s);
-  EXPECT_EQ(board.try_claim(12), ClaimBoard::Claim::kBusy);
-  EXPECT_EQ(board.stolen(), 0u);
-  // And one lease plus slack in the PAST is the classic crash: stolen.
-  write_foreign_claim(board.dir(), kSweep, 13, ClaimBoard::now_ms() - 70'000, lease_s);
-  EXPECT_EQ(board.try_claim(13), ClaimBoard::Claim::kWon);
-  EXPECT_EQ(board.stolen(), 1u);
-  fs::remove_all(cache);
-}
-
-TEST(ClaimBoard, CorruptClaimIsEvictedNotTrusted) {
-  const fs::path cache = scratch_dir("claim_corrupt");
-  ClaimBoard board = make_board(cache, kSweep, 30.0);
-  const fs::path corrupt = fs::path(board.dir()) / "job_4.claim";
-  std::ofstream(corrupt, std::ios::trunc) << "torn half-written gar";
-  EXPECT_EQ(board.peek(4), std::nullopt);  // unreadable, never data
-  EXPECT_EQ(board.try_claim(4), ClaimBoard::Claim::kWon);
-  EXPECT_EQ(board.stolen(), 1u);  // the corpse was evicted, then acquired
-  const auto info = board.peek(4);
-  ASSERT_TRUE(info.has_value());
-  EXPECT_EQ(info->token, board.token());
+    ClaimBoard other(cache.string());
+    EXPECT_EQ(other.try_claim(theirs), ClaimBoard::Claim::kWon);
+  }  // closed while holding `theirs`
+  ClaimBoard probe(cache.string());
+  EXPECT_EQ(probe.try_claim(kKey), ClaimBoard::Claim::kBusy);   // still mine
+  EXPECT_EQ(probe.try_claim(theirs), ClaimBoard::Claim::kWon);  // closed with its board
+  EXPECT_EQ(mine.try_claim(kKey), ClaimBoard::Claim::kWon);
   fs::remove_all(cache);
 }
 
@@ -268,15 +228,16 @@ double seconds_since(Clock::time_point start) {
 
 TEST(ClaimBoard, WakeOnReleaseIsNeverLost) {
   const fs::path cache = scratch_dir("wake_lost");
-  ClaimBoard holder = make_board(cache, kSweep, 30.0);
-  const ClaimBoard waiter = make_board(cache, kSweep, 30.0);
+  ClaimBoard holder(cache.string());
+  const ClaimBoard waiter(cache.string());
+  const std::string other_key = "feedfacefeedface/leach_s2_h8_d0.json";
 
   // A release that lands between the snapshot and the wait: the epoch
   // has already moved, so the wait returns at once instead of sleeping
   // out its timeout.
   const std::uint64_t seen = waiter.release_epoch();
-  ASSERT_EQ(holder.try_claim(0), ClaimBoard::Claim::kWon);
-  holder.release(0);
+  ASSERT_EQ(holder.try_claim(kKey), ClaimBoard::Claim::kWon);
+  holder.release(kKey);
   EXPECT_NE(waiter.release_epoch(), seen);
   auto start = Clock::now();
   EXPECT_TRUE(waiter.wait_release(seen, std::chrono::seconds(60)));
@@ -284,12 +245,12 @@ TEST(ClaimBoard, WakeOnReleaseIsNeverLost) {
 
   // A release while the waiter is already asleep wakes it too.
   const std::uint64_t current = waiter.release_epoch();
-  ASSERT_EQ(holder.try_claim(1), ClaimBoard::Claim::kWon);
+  ASSERT_EQ(holder.try_claim(other_key), ClaimBoard::Claim::kWon);
   std::atomic<bool> woken{false};
   start = Clock::now();
   std::thread sleeper([&] { woken.store(waiter.wait_release(current, std::chrono::seconds(60))); });
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  holder.release(1);
+  holder.release(other_key);
   sleeper.join();
   EXPECT_TRUE(woken.load());
   EXPECT_LT(seconds_since(start), 5.0);
@@ -300,31 +261,35 @@ TEST(ClaimBoard, WakeOnReleaseIsNeverLost) {
 }
 
 TEST(ClaimBoard, WakeIsScopedToTheReleasingSweep) {
-  const fs::path cache = scratch_dir("wake_scoped");
-  ClaimBoard sweep_a = make_board(cache, "aaaaaaaaaaaaaaaa", 30.0);
-  const ClaimBoard sweep_b = make_board(cache, "bbbbbbbbbbbbbbbb", 30.0);
-  // A second spelling of sweep A's cache root shares A's epoch.
-  const ClaimBoard sweep_a_alias = make_board(cache / "." / "", "aaaaaaaaaaaaaaaa", 30.0);
+  // The epoch belongs to the store: a release in store A wakes every
+  // board on A (whatever sweep it drains) and no board on store B.
+  const fs::path store_a = scratch_dir("wake_scoped_a");
+  const fs::path store_b = scratch_dir("wake_scoped_b");
+  ClaimBoard board_a(store_a.string());
+  const ClaimBoard board_b(store_b.string());
+  // A second spelling of store A's root shares A's epoch.
+  const ClaimBoard board_a_alias((store_a / "." / "").string());
 
-  const std::uint64_t seen_a = sweep_a_alias.release_epoch();
-  const std::uint64_t seen_b = sweep_b.release_epoch();
+  const std::uint64_t seen_a = board_a_alias.release_epoch();
+  const std::uint64_t seen_b = board_b.release_epoch();
   std::atomic<bool> b_woken{true};
   std::thread waiter_b([&] {
-    b_woken.store(sweep_b.wait_release(seen_b, std::chrono::milliseconds(300)));
+    b_woken.store(board_b.wait_release(seen_b, std::chrono::milliseconds(300)));
   });
-  ASSERT_EQ(sweep_a.try_claim(0), ClaimBoard::Claim::kWon);
-  sweep_a.release(0);
+  ASSERT_EQ(board_a.try_claim(kKey), ClaimBoard::Claim::kWon);
+  board_a.release(kKey);
   waiter_b.join();
   EXPECT_FALSE(b_woken.load());  // B timed out: A's release is not B's
-  EXPECT_EQ(sweep_b.release_epoch(), seen_b);
-  EXPECT_NE(sweep_a_alias.release_epoch(), seen_a);
-  EXPECT_TRUE(sweep_a_alias.wait_release(seen_a, std::chrono::seconds(60)));
-  fs::remove_all(cache);
+  EXPECT_EQ(board_b.release_epoch(), seen_b);
+  EXPECT_NE(board_a_alias.release_epoch(), seen_a);
+  EXPECT_TRUE(board_a_alias.wait_release(seen_a, std::chrono::seconds(60)));
+  fs::remove_all(store_a);
+  fs::remove_all(store_b);
 }
 
 TEST(ClaimBoard, WakeWaitersEndsACancelledWait) {
   const fs::path cache = scratch_dir("wake_cancel");
-  const ClaimBoard board = make_board(cache, kSweep, 30.0);
+  const ClaimBoard board(cache.string());
   std::atomic<bool> cancel{false};
   std::atomic<bool> woken{false};
   const auto start = Clock::now();
@@ -343,28 +308,30 @@ TEST(ClaimBoard, WakeWaitersEndsACancelledWait) {
 }
 
 TEST(ClaimBoard, WakeRegistryForgetsASweepWithItsLastBoard) {
-  // A daemon serving sweep after sweep must not keep one epoch per
-  // sweep ever served: the entry lives exactly as long as its boards.
-  const fs::path cache = scratch_dir("wake_registry");
-  const std::size_t before = ClaimBoard::tracked_sweeps();
+  // A daemon must not keep one epoch per store it ever drained: the
+  // entry lives exactly as long as its boards.
+  const fs::path store_c = scratch_dir("wake_registry_c");
+  const fs::path store_d = scratch_dir("wake_registry_d");
+  const std::size_t before = ClaimBoard::tracked_stores();
   {
-    const ClaimBoard first = make_board(cache, "cccccccccccccccc", 30.0);
-    EXPECT_EQ(ClaimBoard::tracked_sweeps(), before + 1);
+    const ClaimBoard first(store_c.string());
+    EXPECT_EQ(ClaimBoard::tracked_stores(), before + 1);
     {
-      const ClaimBoard second = make_board(cache, "cccccccccccccccc", 30.0);
-      const ClaimBoard other = make_board(cache, "dddddddddddddddd", 30.0);
-      EXPECT_EQ(ClaimBoard::tracked_sweeps(), before + 2);
+      const ClaimBoard second(store_c.string());
+      const ClaimBoard other(store_d.string());
+      EXPECT_EQ(ClaimBoard::tracked_stores(), before + 2);
     }
-    EXPECT_EQ(ClaimBoard::tracked_sweeps(), before + 1);  // `first` still live
+    EXPECT_EQ(ClaimBoard::tracked_stores(), before + 1);  // `first` still live
   }
-  EXPECT_EQ(ClaimBoard::tracked_sweeps(), before);
-  // A sweep drained again later starts a fresh entry, and drops it again.
+  EXPECT_EQ(ClaimBoard::tracked_stores(), before);
+  // A store drained again later starts a fresh entry, and drops it again.
   {
-    const ClaimBoard again = make_board(cache, "cccccccccccccccc", 30.0);
-    EXPECT_EQ(ClaimBoard::tracked_sweeps(), before + 1);
+    const ClaimBoard again(store_c.string());
+    EXPECT_EQ(ClaimBoard::tracked_stores(), before + 1);
   }
-  EXPECT_EQ(ClaimBoard::tracked_sweeps(), before);
-  fs::remove_all(cache);
+  EXPECT_EQ(ClaimBoard::tracked_stores(), before);
+  fs::remove_all(store_c);
+  fs::remove_all(store_d);
 }
 
 // ----------------------------------------------------------- cost model
@@ -414,27 +381,12 @@ TEST(CostOrder, DescendingWithTiesTowardLowerId) {
   EXPECT_THROW((void)cost_order(jobs, nullptr), std::invalid_argument);
 }
 
-// --------------------------------------------------------- sweep digest
-
-TEST(SweepDigest, PinsContentCountAndOrder) {
-  const std::vector<std::string> keys = {"a/x.json", "b/y.json", "c/z.json"};
-  EXPECT_EQ(sweep_digest(keys), sweep_digest(keys));
-  EXPECT_EQ(sweep_digest(keys).size(), 16u);
-  std::vector<std::string> reordered = {"b/y.json", "a/x.json", "c/z.json"};
-  EXPECT_NE(sweep_digest(keys), sweep_digest(reordered));
-  std::vector<std::string> edited = keys;
-  edited[2] = "c/w.json";
-  EXPECT_NE(sweep_digest(keys), sweep_digest(edited));
-  std::vector<std::string> shorter(keys.begin(), keys.end() - 1);
-  EXPECT_NE(sweep_digest(keys), sweep_digest(shorter));
-}
-
 // ------------------------------------------------- concurrent cache writers
 
 TEST(Cache, ConcurrentStoresOnOneCellNeverTearReads) {
-  // Two processes that both execute a cell (a steal at the lease
-  // margin) store it concurrently; readers must only ever see one
-  // complete entry or the other.
+  // Two writers that share no claims.lock (processes pointed at one
+  // cache through different mounts, say) may store one cell at once;
+  // readers must only ever see one complete entry or the other.
   const fs::path dir = scratch_dir("concurrent_store");
   const ResultCache cache(dir.string());
   core::NetworkConfig config;
@@ -522,8 +474,8 @@ std::vector<std::string> job_paths(const ScenarioSpec& spec, const ResultCache& 
   return paths;
 }
 
-/// The sweep digest of the spec's flattened job list.
-std::string digest_of(const ScenarioSpec& spec, const ResultCache& cache) {
+/// Cache entry key of every flattened job, in job order.
+std::vector<std::string> job_keys(const ScenarioSpec& spec, const ResultCache& cache) {
   const std::vector<GridPoint> grid = expand_grid(spec.axes);
   std::vector<std::string> keys(spec.total_jobs());
   for (std::size_t i = 0; i < keys.size(); ++i) {
@@ -531,7 +483,7 @@ std::string digest_of(const ScenarioSpec& spec, const ResultCache& cache) {
     keys[i] = cache.entry_key(spec.config_at(grid[c.point]), spec.protocols[c.protocol],
                               spec.base_seed + c.rep, spec.options);
   }
-  return sweep_digest(keys);
+  return keys;
 }
 
 std::string read_file(const fs::path& path) {
@@ -583,15 +535,6 @@ void prewarm(const ScenarioSpec& spec, const fs::path& cache_dir) {
   (void)run_scenario(warm);
 }
 
-/// The stale claim a run killed while holding `job` leaves behind.
-void write_ghost_claim(const fs::path& cache_dir, const std::string& digest, std::size_t job) {
-  const fs::path claims = cache_dir / "sweeps" / digest / "claims";
-  fs::create_directories(claims);
-  std::ofstream(claims / ("job_" + std::to_string(job) + ".claim"), std::ios::trunc)
-      << "v = 1\nsweep = " << digest << "\njob = " << job
-      << "\ntoken = ghost:1:0-dead\nhost = ghost\npid = 1\nepoch_ms = 1000\nlease_s = 0.01\n";
-}
-
 /// Drain `spec` with `count` concurrent cached runs on `cache_dir`.
 /// Each run checks its own stats and folds the whole sweep into
 /// artifacts byte-identical to `ref`; returns the cells they executed
@@ -615,7 +558,6 @@ std::size_t drain_concurrently(ScenarioSpec spec, const fs::path& cache_dir, std
     // a claim race mid-drain).
     EXPECT_EQ(result.cache_hits + result.executed_jobs, result.total_jobs) << tag;
     EXPECT_EQ(result.cache_misses, result.executed_jobs) << tag;
-    EXPECT_EQ(result.claims_stolen, 0u) << tag;  // nobody crashed: no steals
     executed += result.executed_jobs;
     const fs::path dir = scratch_dir("run_" + tag + "_" + std::to_string(i));
     const Artifacts out = render_to(result, spec, dir);
@@ -697,49 +639,56 @@ TEST(Drain, EquivalenceBatteryAcrossProcessCounts) {
 // --------------------------------------------------- crashed-run recovery
 
 TEST(Drain, HalfStoredCellsAreSkippedAndStaleClaimsStolenExactlyOnce) {
-  // Simulate a run killed mid-drain: jobs 0..3 durably stored, a stale
-  // claim left on a STORED cell (job 1: killed between store and
-  // release) and on an UNSTORED cell (job 5: killed mid-execute).  A
-  // fresh run must treat job 1 as done — completion comes from the
-  // cache, never from claims — and steal job 5's corpse exactly once.
+  // A live run in another process holds a STORED cell (job 1: between
+  // its store and its release) and an UNSTORED one (job 5: mid-execute),
+  // while jobs 0..3 are durably stored.  A fresh run must treat job 1 as
+  // done — completion comes from the cache, never from claims — wait on
+  // job 5 while its holder lives, and take it over exactly once the
+  // holder dies.
   const ScenarioSpec spec = battery_spec();
   const fs::path cache_dir = scratch_dir("crash_half_stored");
   prewarm(spec, cache_dir);
   const ResultCache cache(cache_dir.string());
   const std::vector<std::string> paths = job_paths(spec, cache);
+  const std::vector<std::string> keys = job_keys(spec, cache);
   ASSERT_TRUE(cache.load(paths[1]).has_value());
   ASSERT_FALSE(cache.load(paths[5]).has_value());
   const std::string half_stored_bytes = read_file(paths[1]);
-  const std::string digest = digest_of(spec, cache);
-  write_ghost_claim(cache_dir, digest, 1);
-  write_ghost_claim(cache_dir, digest, 5);
+  ForeignHolder holder(cache_dir, {keys[1], keys[5]});
 
   ScenarioSpec resume = spec;
   resume.cache_dir = cache_dir.string();
-  const ScenarioResult result = run_scenario(resume);
-  EXPECT_EQ(result.sweep_digest, digest);
+  ProgressSink sink;
+  resume.progress_sink = &sink;
+  std::atomic<bool> done{false};
+  ScenarioResult result;
+  std::thread run([&] {
+    result = run_scenario(resume);
+    done.store(true);
+  });
+  // Every cell but the held one completes; the run then waits on it.
+  while (sink.executed.load() < 3) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  EXPECT_FALSE(done.load());
+  EXPECT_EQ(sink.executed.load(), 3u);
+  holder.kill();
+  run.join();
+
   EXPECT_EQ(result.executed_jobs, 4u);  // exactly the unstored cells
   EXPECT_EQ(result.cache_hits, 4u);
-  EXPECT_EQ(result.claims_stolen, 1u);  // job 5's corpse, not job 1's
-
-  // The half-stored cell was never re-executed or re-stored...
+  // The half-stored cell was never re-executed or re-stored.
   EXPECT_EQ(read_file(paths[1]), half_stored_bytes);
-  // ...its stale claim was never even touched (the cache hit
-  // short-circuits before any claim traffic)...
-  const fs::path claims = cache_dir / "sweeps" / digest / "claims";
-  EXPECT_TRUE(fs::exists(claims / "job_1.claim"));
-  // ...while the stolen cell's claim was released after the store.
-  EXPECT_FALSE(fs::exists(claims / "job_5.claim"));
   EXPECT_TRUE(miss_list(paths, cache).empty());
+  EXPECT_TRUE(claim_layout_ok(cache_dir));
   fs::remove_all(cache_dir);
 }
 
 TEST(Drain, CrashRecoveryExecutesExactlyTheMissingCells) {
   // What two killed runs leave behind: one stored jobs 0, 2, 4, 6; the
-  // other stored jobs 1 and 3 and died holding job 5.  The next run
-  // executes exactly the unstored cells (5 and 7) — the stored half is
-  // not re-run — stealing job 5's stale claim on the way, and folds
-  // byte-identically to a single-process run.
+  // other stored jobs 1 and 3 and died holding job 5.  The kernel freed
+  // that claim with its holder, so the next run executes exactly the
+  // unstored cells (5 and 7) — the stored half is not re-run — and
+  // folds byte-identically to a single-process run.
   const ScenarioSpec spec = battery_spec();
   const fs::path cache_dir = scratch_dir("crash_cache");
   const ResultCache cache(cache_dir.string());
@@ -752,19 +701,44 @@ TEST(Drain, CrashRecoveryExecutesExactlyTheMissingCells) {
                                             spec.protocols[c.protocol],
                                             spec.base_seed + c.rep, spec.options));
   }
-  write_ghost_claim(cache_dir, digest_of(spec, cache), 5);
+  ForeignHolder(cache_dir, {job_keys(spec, cache)[5]}).kill();
 
   ScenarioSpec resume = spec;
   resume.cache_dir = cache_dir.string();
   const ScenarioResult resumed = run_scenario(resume);
   EXPECT_EQ(resumed.executed_jobs, 2u);
   EXPECT_EQ(resumed.cache_hits, 6u);
-  EXPECT_EQ(resumed.claims_stolen, 1u);
   // A second run finds everything stored and executes nothing.
   const fs::path ref_dir = scratch_dir("crash_ref");
   expect_fold_matches(spec, cache_dir, render_to(run_scenario(spec), spec, ref_dir), "crash");
   fs::remove_all(cache_dir);
   fs::remove_all(ref_dir);
+}
+
+TEST(Drain, CellSharedByTwoSweepsRunsOnce) {
+  // Claims are per cell, so two DIFFERENT sweeps sharing cells (here the
+  // traffic=6 point: 4 cells) drain concurrently on one cache without
+  // computing a shared cell twice: their executions sum to the distinct
+  // cells.
+  ScenarioSpec first = battery_spec();
+  ScenarioSpec second = battery_spec();
+  second.axes = {Axis{"traffic_rate_pps", {"6", "9"}}};
+  const fs::path cache_dir = scratch_dir("shared_cells");
+  first.cache_dir = cache_dir.string();
+  second.cache_dir = cache_dir.string();
+  ScenarioResult a;
+  ScenarioResult b;
+  std::thread run_a([&] { a = run_scenario(first); });
+  std::thread run_b([&] { b = run_scenario(second); });
+  run_a.join();
+  run_b.join();
+  EXPECT_EQ(a.cache_hits + a.executed_jobs, a.total_jobs);
+  EXPECT_EQ(b.cache_hits + b.executed_jobs, b.total_jobs);
+  EXPECT_EQ(a.executed_jobs + b.executed_jobs, 12u);  // 3 points x 2 protocols x 2 reps
+  const ResultCache cache(cache_dir.string());
+  EXPECT_TRUE(miss_list(job_paths(first, cache), cache).empty());
+  EXPECT_TRUE(miss_list(job_paths(second, cache), cache).empty());
+  fs::remove_all(cache_dir);
 }
 
 TEST(Drain, StatsCoherentPerRunAndFolded) {
@@ -855,6 +829,12 @@ TEST(Drain, CancelledCachedRunKeepsEveryFinishedCell) {
   ScenarioSpec spec = battery_spec();
   const fs::path cache_dir = scratch_dir("cancel_keeps");
   spec.cache_dir = cache_dir.string();
+  const ResultCache cache(cache_dir.string());
+  const std::vector<std::string> keys = job_keys(spec, cache);
+  // A peer holds job 0, so the drain is still running when the cancel
+  // lands, however fast its other cells are.
+  ClaimBoard peer(cache_dir.string());
+  ASSERT_EQ(peer.try_claim(keys[0]), ClaimBoard::Claim::kWon);
   ProgressSink sink;
   std::atomic<bool> cancel{false};
   spec.progress_sink = &sink;
@@ -862,20 +842,23 @@ TEST(Drain, CancelledCachedRunKeepsEveryFinishedCell) {
   std::thread canceller([&] {
     while (sink.executed.load() == 0) std::this_thread::yield();
     cancel.store(true);
+    ClaimBoard::wake_waiters();
   });
   EXPECT_THROW((void)run_scenario(spec), SweepCancelled);
   canceller.join();
+  peer.release(keys[0]);
 
-  const ResultCache cache(cache_dir.string());
   const std::vector<std::string> paths = job_paths(spec, cache);
   const std::size_t stored = paths.size() - miss_list(paths, cache).size();
   EXPECT_GE(stored, 1u);
+  EXPECT_LT(stored, spec.total_jobs());
   EXPECT_EQ(stored, sink.executed.load());
-  std::size_t claims = 0;
-  for (const auto& entry : fs::recursive_directory_iterator(cache_dir)) {
-    if (entry.path().extension() == ".claim") ++claims;
+  ClaimBoard probe(cache_dir.string());
+  for (const std::string& key : keys) {
+    EXPECT_EQ(probe.try_claim(key), ClaimBoard::Claim::kWon) << key;
+    probe.release(key);
   }
-  EXPECT_EQ(claims, 0u);
+  EXPECT_TRUE(claim_layout_ok(cache_dir));
 
   spec.cancel = nullptr;
   spec.progress_sink = nullptr;
@@ -894,7 +877,6 @@ ScenarioSpec one_cell_spec(const fs::path& cache_dir) {
   spec.replications = 1;
   spec.axes = {Axis{"traffic_rate_pps", {"3"}}};
   spec.cache_dir = cache_dir.string();
-  spec.lease_s = 30.0;  // poll = min(0.5 s, lease / 4) = 0.5 s
   return spec;
 }
 
@@ -915,8 +897,9 @@ TEST(Drain, WakeOnInProcessPeerRelease) {
   const std::string entry = job_paths(spec, cache)[0];
 
   // The peer: a second board in this process holding the only claim.
-  ClaimBoard peer = make_board(cache_dir, digest_of(spec, cache), 30.0);
-  ASSERT_EQ(peer.try_claim(0), ClaimBoard::Claim::kWon);
+  const std::string key = job_keys(spec, cache)[0];
+  ClaimBoard peer(cache_dir.string());
+  ASSERT_EQ(peer.try_claim(key), ClaimBoard::Claim::kWon);
 
   std::atomic<bool> done{false};
   ScenarioResult result;
@@ -931,9 +914,9 @@ TEST(Drain, WakeOnInProcessPeerRelease) {
 
   cache.store(entry, *computed);
   const auto released = Clock::now();
-  peer.release(0);
+  peer.release(key);
   drain.join();
-  // Woken by the release, not by the 0.5 s poll.
+  // Woken by the release, not by the 0.5 s poll (ClaimBoard::kPeerPoll).
   EXPECT_LT(seconds_since(released), 0.25);
   EXPECT_EQ(result.executed_jobs, 0u);
   EXPECT_EQ(result.cache_hits, 1u);
@@ -946,8 +929,9 @@ TEST(Drain, WakeOnCancel) {
   const fs::path cache_dir = scratch_dir("wake_drain_cancel");
   ScenarioSpec spec = one_cell_spec(cache_dir);
   const ResultCache cache(cache_dir.string());
-  ClaimBoard peer = make_board(cache_dir, digest_of(spec, cache), 30.0);
-  ASSERT_EQ(peer.try_claim(0), ClaimBoard::Claim::kWon);
+  const std::string key = job_keys(spec, cache)[0];
+  ClaimBoard peer(cache_dir.string());
+  ASSERT_EQ(peer.try_claim(key), ClaimBoard::Claim::kWon);
 
   std::atomic<bool> cancel{false};
   spec.cancel = &cancel;
@@ -974,10 +958,9 @@ TEST(Drain, WakeOnCancel) {
   EXPECT_TRUE(cancelled.load());
   EXPECT_EQ(sink.executed.load(), 0u);
   // The only claim standing is the peer's: the cancelled run held none.
-  const auto info = peer.peek(0);
-  ASSERT_TRUE(info.has_value());
-  EXPECT_EQ(info->token, peer.token());
-  peer.release(0);
+  EXPECT_EQ(peer.try_claim(key), ClaimBoard::Claim::kWon);
+  EXPECT_EQ(ClaimBoard(cache_dir.string()).try_claim(key), ClaimBoard::Claim::kBusy);
+  peer.release(key);
   fs::remove_all(cache_dir);
 }
 
@@ -996,21 +979,30 @@ TEST(Progress, PeriodicReportReachesTheInjectedStream) {
 }
 
 TEST(Drain, ValidationSurface) {
-  {  // a non-positive lease would make every claim instantly stale
+  {  // a store that cannot be created fails the run by name
     ScenarioSpec spec = battery_spec();
-    spec.cache_dir = scratch_dir("drain_val_lease").string();
-    spec.lease_s = 0.0;
-    EXPECT_THROW((void)run_scenario(spec), std::invalid_argument);
-    fs::remove_all(spec.cache_dir);
+    const fs::path dir = scratch_dir("drain_val_store");
+    std::ofstream(dir / "file") << "x";
+    spec.cache_dir = (dir / "file" / "store").string();
+    try {
+      (void)run_scenario(spec);
+      ADD_FAILURE() << "a store under a regular file was accepted";
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what()).find(spec.cache_dir), std::string::npos)
+          << error.what();
+    }
+    fs::remove_all(dir);
   }
-  {  // --no-cache drains in memory: no claims, no lease, nothing created
+  {  // a fully stored sweep folds without taking a claim
     ScenarioSpec spec = battery_spec();
-    spec.cache_dir = (fs::temp_directory_path() / "caem_wq_never_created").string();
-    fs::remove_all(spec.cache_dir);
-    spec.use_cache = false;
-    spec.lease_s = 0.0;
-    EXPECT_EQ(run_scenario(spec).executed_jobs, spec.total_jobs());
-    EXPECT_FALSE(fs::exists(spec.cache_dir));
+    const fs::path dir = scratch_dir("drain_val_warm");
+    prewarm(spec, dir);
+    spec.axes = {Axis{"traffic_rate_pps", {"3"}}};
+    spec.cache_dir = dir.string();
+    fs::remove(dir / "claims.lock");
+    EXPECT_EQ(run_scenario(spec).cache_hits, spec.total_jobs());
+    EXPECT_FALSE(fs::exists(dir / "claims.lock"));
+    fs::remove_all(dir);
   }
 }
 
