@@ -10,6 +10,12 @@
 // N=1k to N=10k, which must stay strictly below the 100x a quadratic
 // simulator would show.
 //
+// Each point also records the process's peak resident set size
+// (getrusage ru_maxrss) read right after it.  Points run in ascending
+// N on one thread, so every reading is that point's own peak: memory
+// that scales with the live state, not with the events scheduled, shows
+// up as peak RSS growing with N and not with the horizon.
+//
 // Usage: bench_scale [--fast] [key=value ...]
 //   --fast | fast=1   smoke sweep: N up to 10k, shorter horizon
 //   seed=<n>          master seed (default 2005)
@@ -22,6 +28,8 @@
 #include <iostream>
 #include <string>
 #include <vector>
+
+#include <sys/resource.h>
 
 #include "core/config.hpp"
 #include "core/protocol.hpp"
@@ -38,7 +46,14 @@ struct ScalePoint {
   double wall_s = 0.0;
   std::uint64_t events = 0;
   double sim_end_s = 0.0;
+  double peak_rss_mb = 0.0;
 };
+
+double peak_rss_mb() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;  // Linux reports KiB
+}
 
 ScalePoint run_point(std::size_t n, std::uint64_t seed, double sim_s) {
   core::NetworkConfig config;
@@ -62,11 +77,13 @@ ScalePoint run_point(std::size_t n, std::uint64_t seed, double sim_s) {
   point.wall_s = elapsed.count();
   point.events = result.executed_events;
   point.sim_end_s = result.sim_end_s;
+  point.peak_rss_mb = peak_rss_mb();
   return point;
 }
 
 void write_json(const std::vector<ScalePoint>& points, double growth_1k_10k,
-                bool sub_quadratic, double sim_s, const std::string& path) {
+                double rss_growth_1k_10k, bool sub_quadratic, double sim_s,
+                const std::string& path) {
   std::FILE* out = std::fopen(path.c_str(), "w");
   if (out == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
@@ -82,18 +99,19 @@ void write_json(const std::vector<ScalePoint>& points, double growth_1k_10k,
     const ScalePoint& p = points[i];
     std::fprintf(out,
                  "    {\"n\": %zu, \"field_size_m\": %.1f, \"wall_s\": %.3f, "
-                 "\"events\": %llu, \"events_per_sec\": %.0f}%s\n",
+                 "\"events\": %llu, \"events_per_sec\": %.0f, \"peak_rss_mb\": %.1f}%s\n",
                  p.n, p.field_size_m, p.wall_s, static_cast<unsigned long long>(p.events),
                  p.wall_s > 0.0 ? static_cast<double>(p.events) / p.wall_s : 0.0,
-                 i + 1 < points.size() ? "," : "");
+                 p.peak_rss_mb, i + 1 < points.size() ? "," : "");
   }
   std::fprintf(out,
                "  ],\n"
                "  \"wall_growth_1k_to_10k\": %.2f,\n"
                "  \"quadratic_would_be\": 100.0,\n"
-               "  \"sub_quadratic\": %s\n"
+               "  \"sub_quadratic\": %s,\n"
+               "  \"peak_rss_growth_1k_to_10k\": %.2f\n"
                "}\n",
-               growth_1k_10k, sub_quadratic ? "true" : "false");
+               growth_1k_10k, sub_quadratic ? "true" : "false", rss_growth_1k_10k);
   std::fclose(out);
   std::printf("\nBENCH_scale -> %s\n", path.c_str());
 }
@@ -140,19 +158,28 @@ int main(int argc, char** argv) {
   }
 
   std::printf("==== bench_scale ====\n");
-  std::printf("%8s %12s %10s %14s %14s\n", "nodes", "field (m)", "wall (s)", "events",
-              "events/s");
+  std::printf("%8s %12s %10s %14s %14s %12s\n", "nodes", "field (m)", "wall (s)", "events",
+              "events/s", "peak RSS MB");
   std::vector<ScalePoint> points;
   double wall_1k = 0.0;
   double wall_10k = 0.0;
+  double rss_1k = 0.0;
+  double rss_10k = 0.0;
   for (const std::size_t n : sizes) {
     const ScalePoint point = run_point(n, seed, sim_s);
-    std::printf("%8zu %12.1f %10.3f %14llu %14.0f\n", point.n, point.field_size_m,
+    std::printf("%8zu %12.1f %10.3f %14llu %14.0f %12.1f\n", point.n, point.field_size_m,
                 point.wall_s, static_cast<unsigned long long>(point.events),
-                point.wall_s > 0.0 ? static_cast<double>(point.events) / point.wall_s : 0.0);
+                point.wall_s > 0.0 ? static_cast<double>(point.events) / point.wall_s : 0.0,
+                point.peak_rss_mb);
     std::fflush(stdout);
-    if (point.n == 1000) wall_1k = point.wall_s;
-    if (point.n == 10000) wall_10k = point.wall_s;
+    if (point.n == 1000) {
+      wall_1k = point.wall_s;
+      rss_1k = point.peak_rss_mb;
+    }
+    if (point.n == 10000) {
+      wall_10k = point.wall_s;
+      rss_10k = point.peak_rss_mb;
+    }
     points.push_back(point);
   }
 
@@ -160,6 +187,8 @@ int main(int argc, char** argv) {
   const bool sub_quadratic = growth > 0.0 && growth < 100.0;
   std::printf("\nwall growth 1k -> 10k: %.2fx (quadratic would be 100x) -> %s\n", growth,
               sub_quadratic ? "sub-quadratic" : "NOT sub-quadratic");
-  write_json(points, growth, sub_quadratic, sim_s, json_path);
+  const double rss_growth = rss_1k > 0.0 ? rss_10k / rss_1k : 0.0;
+  std::printf("peak RSS growth 1k -> 10k: %.2fx\n", rss_growth);
+  write_json(points, growth, rss_growth, sub_quadratic, sim_s, json_path);
   return sub_quadratic ? 0 : 1;
 }

@@ -1,6 +1,7 @@
 #include "service/cache_janitor.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <filesystem>
 #include <set>
@@ -11,6 +12,48 @@
 namespace caem::service {
 
 namespace fs = std::filesystem;
+
+namespace {
+
+struct ArtifactTree {
+  std::uint64_t id = 0;  ///< N of the sweep id "sN"; 0 for any other name
+  std::string path;
+  std::uint64_t bytes = 0;
+};
+
+/// Every tree under <root>/artifacts, oldest sweep id first.
+std::vector<ArtifactTree> artifact_trees(const std::string& root) {
+  std::vector<ArtifactTree> trees;
+  std::error_code error;
+  for (fs::directory_iterator it(fs::path(root) / "artifacts", error), end; !error && it != end;
+       it.increment(error)) {
+    if (!it->is_directory(error) || error) continue;
+    ArtifactTree tree;
+    tree.path = it->path().string();
+    const std::string name = it->path().filename().string();
+    if (name.size() > 1 && name[0] == 's') {
+      std::uint64_t id = 0;
+      const auto [end_of_id, parse_error] =
+          std::from_chars(name.data() + 1, name.data() + name.size(), id);
+      if (parse_error == std::errc() && end_of_id == name.data() + name.size()) tree.id = id;
+    }
+    std::error_code walk_error;
+    for (fs::recursive_directory_iterator walk(it->path(), walk_error), walk_end;
+         !walk_error && walk != walk_end; walk.increment(walk_error)) {
+      std::error_code size_error;
+      if (!walk->is_regular_file(size_error) || size_error) continue;
+      const std::uintmax_t bytes = walk->file_size(size_error);
+      if (!size_error) tree.bytes += bytes;
+    }
+    trees.push_back(std::move(tree));
+  }
+  std::sort(trees.begin(), trees.end(), [](const ArtifactTree& a, const ArtifactTree& b) {
+    return a.id != b.id ? a.id < b.id : a.path < b.path;
+  });
+  return trees;
+}
+
+}  // namespace
 
 CacheJanitor::CacheJanitor(std::string root, std::uint64_t budget_bytes, PinProvider pins)
     : root_(std::move(root)), budget_bytes_(budget_bytes), pins_(std::move(pins)) {
@@ -32,11 +75,32 @@ JanitorReport CacheJanitor::sweep_once() {
   report.entries = entries.size();
   for (const scenario::CacheEntryInfo& entry : entries) report.bytes_before += entry.bytes;
   report.bytes_after = report.bytes_before;
-  if (budget_bytes_ == 0 || report.bytes_before <= budget_bytes_) return report;
+  if (budget_bytes_ == 0) return report;
 
+  // List the trees before asking for pins: a tree listed here whose
+  // sweep is in flight is pinned below, and a sweep that finished
+  // before the pin query stays finished (ids are never reused).
+  std::vector<ArtifactTree> trees = artifact_trees(root_);
   std::set<std::string> pinned;
   if (pins_) {
     for (std::string& path : pins_()) pinned.insert(std::move(path));
+  }
+  std::erase_if(trees, [&](const ArtifactTree& tree) { return pinned.count(tree.path) > 0; });
+  report.artifact_trees = trees.size();
+  for (const ArtifactTree& tree : trees) report.bytes_before += tree.bytes;
+  report.bytes_after = report.bytes_before;
+  if (report.bytes_before <= budget_bytes_) return report;
+
+  // Rendered trees go first: resubmitting a sweep rebuilds its tree
+  // from cache hits, while an evicted entry must be recomputed.
+  for (const ArtifactTree& tree : trees) {
+    if (report.bytes_after <= budget_bytes_) break;
+    std::error_code error;
+    fs::remove_all(tree.path, error);
+    if (error) continue;
+    report.bytes_after -= std::min(report.bytes_after, tree.bytes);
+    ++report.artifacts_removed;
+    report.artifact_bytes_removed += tree.bytes;
   }
 
   // Ascending utility; deterministic (wall_ms, key) tie-break so two

@@ -20,6 +20,14 @@
 // provider: evicting a cell mid-drain would force the drain to re-run
 // it (progress counters would run backwards), so the janitor skips
 // them even when the store stays over budget as a result.
+//
+// `caem serve` also renders each finished sweep into
+// <root>/artifacts/<id>/.  Those trees count toward the budget too, and
+// go first, oldest id first: a tree is only a rendering of cells the
+// store holds, so resubmitting the sweep rebuilds it from cache hits,
+// while an evicted cell costs a recomputation.  The provider pins the
+// trees of in-flight sweeps the same way as their entries.  With no
+// budget the janitor never walks artifacts/.
 #pragma once
 
 #include <cstdint>
@@ -42,11 +50,15 @@ struct JanitorReport {
   std::size_t evicted = 0;         ///< entries deleted this sweep
   std::uint64_t bytes_evicted = 0;
   std::size_t pinned_kept = 0;     ///< over-budget entries spared by a pin
+  std::size_t artifact_trees = 0;  ///< finished sweeps' artifact trees counted
+  std::size_t artifacts_removed = 0;  ///< of those, trees deleted this sweep
+  std::uint64_t artifact_bytes_removed = 0;
 };
 
 class CacheJanitor {
  public:
-  /// Absolute entry paths that must not be evicted (in-flight sweeps).
+  /// Entry paths and artifact-tree paths (<root>/artifacts/<id>) that
+  /// must not be evicted: those of in-flight sweeps.
   using PinProvider = std::function<std::vector<std::string>()>;
 
   /// @param root          result-cache directory to bound

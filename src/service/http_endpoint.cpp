@@ -129,6 +129,7 @@ const char* http_reason(int status) {
     case 404: return "Not Found";
     case 405: return "Method Not Allowed";
     case 409: return "Conflict";
+    case 410: return "Gone";
     case 413: return "Payload Too Large";
     case 500: return "Internal Server Error";
     default: return "Status";

@@ -119,6 +119,7 @@ std::vector<std::string> SweepService::pinned_paths() {
     (void)id;
     if (sweep->state == State::kQueued || sweep->state == State::kRunning) {
       pins.insert(pins.end(), sweep->entry_paths.begin(), sweep->entry_paths.end());
+      pins.push_back(sweep->artifacts_dir);
     }
   }
   return pins;
@@ -309,7 +310,16 @@ HttpResponse SweepService::artifact(const std::string& id, const std::string& re
   }
   const fs::path full = fs::path(artifacts_dir) / rel_path;
   std::ifstream in(full, std::ios::binary);
-  if (!in) return error_response(404, "no artifact '" + rel + "'");
+  if (!in) {
+    std::error_code error;
+    if (!fs::exists(artifacts_dir, error) && !error) {
+      return error_response(410, "sweep '" + id +
+                                     "' artifacts were evicted to keep the store within "
+                                     "serve.store_budget_bytes; resubmit the scenario to "
+                                     "render them again from its cached cells");
+    }
+    return error_response(404, "no artifact '" + rel + "'");
+  }
   std::ostringstream buffer;
   buffer << in.rdbuf();
   HttpResponse response;

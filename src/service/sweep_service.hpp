@@ -31,9 +31,12 @@
 // ScenarioSpec::cancel — the hooks exist precisely so the service never
 // has to reimplement drain logic.
 //
-// The store is bounded by a CacheJanitor (serve.store_budget_bytes)
-// scoring entries touches x wall_ms / bytes; entries of queued/running
-// sweeps are pinned so eviction can never run a live drain backwards.
+// The store is bounded by a CacheJanitor (serve.store_budget_bytes).
+// It removes finished sweeps' artifact trees first, oldest id first
+// (their GET then answers 410: resubmitting renders them again from
+// cached cells), then entries by touches x wall_ms / bytes.  Entries
+// and trees of queued/running sweeps are pinned so eviction can never
+// run a live drain backwards.
 //
 // Artifacts render into <store>/artifacts/<id>/.  Sweep ids restart at
 // s1 with every service, so the constructor empties that tree: a new

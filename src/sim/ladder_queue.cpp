@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <initializer_list>
 #include <stdexcept>
 #include <utility>
 
@@ -218,6 +219,11 @@ bool LadderQueue::advance_ladder() {
     const double lo = bucket_start(r, r.cur);
     const double hi = bucket_end(r, r.cur);
     bottom_store_.swap(r.buckets[r.cur]);  // adopt the bucket: zero entry moves
+    // The slot now holds the previous bottom's storage, and a pooled
+    // slot keeps what it holds across epochs.  Free a dense bucket's
+    // worth here, or every slot ends up holding the largest bucket it
+    // ever swapped with and memory grows with the events scheduled.
+    if (r.buckets[r.cur].capacity() > kSortThreshold) Bucket().swap(r.buckets[r.cur]);
     ++r.cur;
     const std::size_t live = prune_store();
     if (live == 0) {
@@ -402,6 +408,20 @@ void LadderQueue::compact_bottom() {
   bottom_keys_.erase(bottom_keys_.begin(),
                      bottom_keys_.begin() + static_cast<std::ptrdiff_t>(bottom_head_));
   bottom_head_ = 0;
+}
+
+std::size_t LadderQueue::retained_bytes() const noexcept {
+  const auto bytes = [](const auto& v) { return v.capacity() * sizeof(v[0]); };
+  std::size_t total = bytes(bottom_store_) + bytes(staged_fns_) + bytes(store_scratch_) +
+                      bytes(fn_scratch_) + bytes(bottom_keys_) + bytes(top_) +
+                      bytes(fn_store_) + bytes(rungs_) + bytes(rung_pool_);
+  for (const std::vector<Rung>* rungs : {&rungs_, &rung_pool_}) {
+    for (const Rung& r : *rungs) {
+      total += bytes(r.buckets);
+      for (const Bucket& b : r.buckets) total += bytes(b);
+    }
+  }
+  return total;
 }
 
 void LadderQueue::reset_spans() noexcept {

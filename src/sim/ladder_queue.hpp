@@ -8,8 +8,8 @@
 //
 // Structure, earliest to latest:
 //
-//   bottom  the region currently draining: an entry store (bucket
-//           storage adopted wholesale by swap) plus a sorted 24-byte
+//   bottom  the region currently draining: an entry store (a drained
+//           bucket's storage, swapped in) plus a sorted 24-byte
 //           key array popped front-to-back in exact (time_s, sequence)
 //           order; covers t < bottom_limit_.
 //   rungs   stack of bucket arrays; rungs_.back() is the innermost
@@ -44,8 +44,12 @@
 //     access on the pop path, L2-resident at the 50k-node operating
 //     point where a callback-carrying table would thrash;
 //   * bucket vectors, rung frames and staging columns are pooled and
-//     recycled across epochs, so steady-state operation performs zero
-//     allocations.
+//     recycled across epochs.  A drained slot keeps at most
+//     kSortThreshold entries' worth of storage; a larger buffer is
+//     freed at the swap, so memory follows the pending set rather than
+//     the number of events ever scheduled.  The price is that a dense
+//     bucket regrows its storage once per epoch (a few doublings, not
+//     one allocation per event).
 //
 // Cancellation: cancel() is O(1); for rung/top-resident events the
 // captured state is released at cancel() itself (the callback column is
@@ -94,6 +98,11 @@ class LadderQueue {
 
   /// Total events ever scheduled (diagnostics / micro-benchmarks).
   [[nodiscard]] std::uint64_t total_scheduled() const noexcept { return next_sequence_ - 1; }
+
+  /// Heap bytes the queue holds (diagnostics): the summed capacity of
+  /// every bucket (pooled rungs included), the bottom, the top, the
+  /// staging columns and the slot-indexed callback column.
+  [[nodiscard]] std::size_t retained_bytes() const noexcept;
 
  private:
   struct Entry {

@@ -1,8 +1,13 @@
-// Tests for util::RingBuffer, util::TableWriter and util::json_escape.
+// Tests for util::RingBuffer (including its on-demand storage growth and
+// the PacketQueue drop-tail it backs), util::TableWriter and
+// util::json_escape.
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <sstream>
+#include <vector>
 
+#include "queueing/packet_queue.hpp"
 #include "util/ring_buffer.hpp"
 #include "util/table_writer.hpp"
 
@@ -56,6 +61,111 @@ TEST(RingBuffer, AtIndexesFromHead) {
   EXPECT_EQ(buffer.at(1), 30);
   EXPECT_EQ(buffer.at(2), 40);
   EXPECT_THROW(buffer.at(3), std::out_of_range);
+}
+
+// Storage starts empty and doubles from 4 slots up to the capacity, so
+// with capacity 50 the growth steps are taken at sizes 0, 4, 8, 16, 32.
+
+TEST(RingBuffer, GrowthWhileWrappedKeepsFifoOrder) {
+  RingBuffer<int> buffer(50);
+  for (int i = 0; i < 4; ++i) buffer.try_push(i);  // storage [0 1 2 3], full
+  EXPECT_EQ(buffer.pop(), 0);
+  EXPECT_EQ(buffer.pop(), 1);
+  buffer.try_push(4);
+  buffer.try_push(5);  // wrapped: [4 5 2 3], head at slot 2
+  EXPECT_TRUE(buffer.try_push(6));  // growth step with the head wrapped
+  for (int i = 7; i < 52; ++i) EXPECT_TRUE(buffer.try_push(i));
+  EXPECT_TRUE(buffer.full());
+  for (int i = 2; i < 52; ++i) EXPECT_EQ(buffer.pop(), i);
+  EXPECT_TRUE(buffer.empty());
+}
+
+TEST(RingBuffer, PushFrontAtGrowthBoundary) {
+  RingBuffer<int> buffer(50);
+  for (int i = 1; i <= 4; ++i) buffer.try_push(i);  // storage full at 4
+  EXPECT_TRUE(buffer.try_push_front(0));             // grows, then re-queues
+  EXPECT_EQ(buffer.size(), 5u);
+  for (int i = 0; i < 5; ++i) EXPECT_EQ(buffer.at(static_cast<std::size_t>(i)), i);
+  for (int i = 5; i < 8; ++i) buffer.try_push(i);  // storage full at 8
+  EXPECT_TRUE(buffer.try_push_front(-1));  // next boundary; the head wraps to the end
+  EXPECT_EQ(buffer.front(), -1);
+  for (int i = -1; i < 8; ++i) EXPECT_EQ(buffer.pop(), i);
+}
+
+TEST(RingBuffer, FullAndCapacityExactlyAtTheLimit) {
+  // 50 is not a power of two: the last growth step is clamped to it.
+  RingBuffer<int> buffer(50);
+  EXPECT_EQ(buffer.capacity(), 50u);
+  for (int i = 0; i < 49; ++i) {
+    EXPECT_TRUE(buffer.try_push(i));
+    EXPECT_FALSE(buffer.full());
+    EXPECT_EQ(buffer.capacity(), 50u);
+  }
+  EXPECT_TRUE(buffer.try_push(49));
+  EXPECT_TRUE(buffer.full());
+  EXPECT_EQ(buffer.capacity(), 50u);
+  EXPECT_FALSE(buffer.try_push(50));
+  EXPECT_FALSE(buffer.try_push_front(-1));
+  EXPECT_EQ(buffer.size(), 50u);
+  EXPECT_EQ(buffer.front(), 0);
+  EXPECT_EQ(buffer.at(49), 49);
+}
+
+TEST(RingBuffer, MatchesDequeOracleAcrossEveryGrowthStep) {
+  // Mixed back pushes, front re-queues and pops walk the size up and
+  // down through every growth boundary in every wrap position.
+  RingBuffer<int> buffer(50);
+  std::deque<int> oracle;
+  unsigned state = 2005;
+  for (int op = 0; op < 20'000; ++op) {
+    state = state * 1103515245u + 12345u;
+    const unsigned dice = (state >> 16) % 10;
+    if (dice < 5) {
+      const bool pushed = buffer.try_push(op);
+      EXPECT_EQ(pushed, oracle.size() < 50);
+      if (pushed) oracle.push_back(op);
+    } else if (dice < 7) {
+      const bool pushed = buffer.try_push_front(op);
+      EXPECT_EQ(pushed, oracle.size() < 50);
+      if (pushed) oracle.push_front(op);
+    } else if (!oracle.empty()) {
+      ASSERT_EQ(buffer.pop(), oracle.front());
+      oracle.pop_front();
+    }
+    ASSERT_EQ(buffer.size(), oracle.size());
+    ASSERT_EQ(buffer.full(), oracle.size() == 50);
+    for (std::size_t i = 0; i < oracle.size(); ++i) ASSERT_EQ(buffer.at(i), oracle[i]);
+  }
+}
+
+TEST(RingBuffer, PacketQueueOverflowAccountingAtTableTwoCapacity) {
+  // Table II: 50 packets.  Drop-tail at the limit, with every arrival
+  // counted and every overflow reported, exactly as fixed storage did.
+  queueing::PacketQueue queue(50);
+  EXPECT_EQ(queue.capacity(), 50u);
+  std::vector<std::uint64_t> dropped;
+  queue.set_overflow_callback(
+      [&](const queueing::Packet& packet, double) { dropped.push_back(packet.id); });
+  for (std::uint64_t id = 1; id <= 60; ++id) {
+    queueing::Packet packet;
+    packet.id = id;
+    EXPECT_EQ(queue.push(packet, 0.0), id <= 50);
+  }
+  EXPECT_EQ(queue.size(), 50u);
+  EXPECT_EQ(queue.total_arrivals(), 60u);
+  EXPECT_EQ(queue.overflow_drops(), 10u);
+  EXPECT_EQ(dropped, (std::vector<std::uint64_t>{51, 52, 53, 54, 55, 56, 57, 58, 59, 60}));
+  queueing::Packet failed;
+  failed.id = 0;
+  EXPECT_FALSE(queue.requeue_front(failed));  // full: no room to re-queue
+  EXPECT_EQ(queue.pop().id, 1u);
+  EXPECT_TRUE(queue.requeue_front(failed));
+  EXPECT_EQ(queue.head().id, 0u);
+  EXPECT_EQ(queue.peek(49).id, 50u);
+  std::uint64_t drained = 0;
+  queue.drain([&](const queueing::Packet&) { ++drained; });
+  EXPECT_EQ(drained, 50u);
+  EXPECT_EQ(queue.overflow_drops(), 10u);
 }
 
 TEST(RingBuffer, ErrorsAndClear) {

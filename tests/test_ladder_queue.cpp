@@ -255,6 +255,39 @@ TEST(LadderQueue, ClearReleasesEveryCapture) {
   EXPECT_EQ(state.use_count(), 1);
 }
 
+// Memory follows the pending set, not the event count.  A hold model
+// (pop one, schedule one) keeps ~20k events pending; most increments
+// are short and a few are long, so every top-rung epoch spans the long
+// tail while the short events crowd a few buckets past kSortThreshold
+// and spawn child rungs.  Drained buckets must not keep the storage of
+// the densest bucket they ever swapped with: retained bytes after 4M
+// ops stay within 10% of the value after 1M ops, and under a fixed
+// budget per pending event.
+TEST(LadderQueue, RetainedBytesTrackPendingSetAcrossEpochs) {
+  LadderQueue queue;
+  util::Rng rng(2005, "ladder-retention");
+  const auto increment = [&rng] {
+    return rng.next() % 50 == 0 ? 100.0 * rng.uniform() : rng.uniform();
+  };
+  constexpr std::size_t kPending = 20'000;
+  for (std::size_t i = 0; i < kPending; ++i) queue.schedule(increment(), [](double) {});
+  std::size_t after_1m = 0;
+  for (int op = 1; op <= 4'000'000; ++op) {
+    const Fired fired = queue.pop();
+    queue.schedule(fired.time_s + increment(), [](double) {});
+    if (op == 1'000'000) after_1m = queue.retained_bytes();
+  }
+  const std::size_t after_4m = queue.retained_bytes();
+  ASSERT_EQ(queue.size(), kPending);
+  // Measured ~200 B per pending event: an entry, its callback in the
+  // slot column and its share of bucket headroom.  Storage kept from
+  // drained dense buckets shows up as ~4 kB per pending event, growing.
+  constexpr std::size_t kBytesPerPending = 400;
+  EXPECT_LE(static_cast<double>(after_4m), 1.1 * static_cast<double>(after_1m))
+      << "after 1M ops: " << after_1m << " B";
+  EXPECT_LE(after_4m, kBytesPerPending * kPending);
+}
+
 // ---------------------------------------------------------------------------
 // GenTable: the ladder's 4-byte-per-slot id authority.
 

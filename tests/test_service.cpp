@@ -367,8 +367,17 @@ TEST(SweepService, TinyBudgetNeverBreaksAnInFlightSweep) {
   ASSERT_TRUE(service.wait_idle(120.0));
   const HttpResponse status = service.handle(make_request("GET", "/sweeps/s1"));
   EXPECT_TRUE(contains(status.body, "\"state\":\"done\"")) << status.body;
-  const HttpResponse csv = service.handle(make_request("GET", "/sweeps/s1/artifacts/out.csv"));
-  ASSERT_EQ(csv.status, 200);
+  // A finished sweep's tree is the first thing a 64-byte budget evicts,
+  // so the background janitor may already have taken it (410).  With
+  // the janitor stopped, a resubmission renders the tree again.
+  service.janitor().stop();
+  HttpResponse csv = service.handle(make_request("GET", "/sweeps/s1/artifacts/out.csv"));
+  if (csv.status == 410) {
+    ASSERT_EQ(service.handle(make_request("POST", "/sweeps", kScenarioText)).status, 201);
+    ASSERT_TRUE(service.wait_idle(120.0));
+    csv = service.handle(make_request("GET", "/sweeps/s2/artifacts/out.csv"));
+  }
+  ASSERT_EQ(csv.status, 200) << csv.body;
 
   const fs::path ref = scratch_dir("budget_ref");
   scenario::ScenarioSpec direct =
@@ -386,6 +395,59 @@ TEST(SweepService, TinyBudgetNeverBreaksAnInFlightSweep) {
   service.stop();
   fs::remove_all(store);
   fs::remove_all(ref);
+}
+
+TEST(SweepService, BudgetEvictsFinishedArtifactTreesWithA410) {
+  // Each submission renders a tree under <store>/artifacts/<id>/.  With
+  // a budget the janitor counts finished trees and removes them before
+  // any entry; a GET for a removed tree answers 410 and says how to get
+  // it back.  With no budget it never walks artifacts/.
+  const fs::path store = scratch_dir("artifact_budget_store");
+  {
+    SweepService unbounded(serve_config(store));
+    ASSERT_EQ(unbounded.handle(make_request("POST", "/sweeps", kScenarioText)).status, 201);
+    ASSERT_TRUE(unbounded.wait_idle(120.0));
+    const JanitorReport report = unbounded.janitor().sweep_once();
+    EXPECT_EQ(report.artifact_trees, 0u);
+    EXPECT_EQ(report.artifacts_removed, 0u);
+    EXPECT_TRUE(fs::exists(store / "artifacts" / "s1" / "out.csv"));
+    unbounded.stop();
+  }
+
+  ServeConfig config = serve_config(store);
+  config.store_budget_bytes = 1;  // janitor on demand only (interval 0)
+  SweepService service(config);
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_EQ(service.handle(make_request("POST", "/sweeps", kScenarioText)).status, 201);
+    ASSERT_TRUE(service.wait_idle(120.0));
+  }
+  const HttpResponse csv = service.handle(make_request("GET", "/sweeps/s1/artifacts/out.csv"));
+  ASSERT_EQ(csv.status, 200);
+
+  const JanitorReport report = service.janitor().sweep_once();
+  EXPECT_EQ(report.artifact_trees, 2u);
+  EXPECT_EQ(report.artifacts_removed, 2u);
+  EXPECT_GT(report.artifact_bytes_removed, csv.body.size());
+  EXPECT_GT(report.evicted, 0u);  // then the entries, to meet the budget
+  EXPECT_FALSE(fs::exists(store / "artifacts" / "s1"));
+  EXPECT_FALSE(fs::exists(store / "artifacts" / "s2"));
+  for (const char* id : {"s1", "s2"}) {
+    const std::string target = std::string("/sweeps/") + id;
+    const HttpResponse gone = service.handle(make_request("GET", target + "/artifacts/out.csv"));
+    EXPECT_EQ(gone.status, 410);
+    EXPECT_TRUE(contains(gone.body, "resubmit")) << gone.body;
+    EXPECT_TRUE(contains(service.handle(make_request("GET", target)).body,
+                         "\"state\":\"done\""));
+  }
+  // An unknown sweep is still a 404, and a resubmission renders anew.
+  EXPECT_EQ(service.handle(make_request("GET", "/sweeps/s9/artifacts/out.csv")).status, 404);
+  ASSERT_EQ(service.handle(make_request("POST", "/sweeps", kScenarioText)).status, 201);
+  ASSERT_TRUE(service.wait_idle(120.0));
+  const HttpResponse again = service.handle(make_request("GET", "/sweeps/s3/artifacts/out.csv"));
+  ASSERT_EQ(again.status, 200);
+  EXPECT_EQ(again.body, csv.body);
+  service.stop();
+  fs::remove_all(store);
 }
 
 // --------------------------------------------------------- cache janitor
@@ -483,6 +545,46 @@ TEST(CacheJanitor, PinnedEntriesSurviveEvenOverBudget) {
   EXPECT_EQ(report.evicted, 1u);
   EXPECT_GE(report.pinned_kept, 1u);
   EXPECT_GT(report.bytes_after, report.budget_bytes);
+  fs::remove_all(store);
+}
+
+TEST(CacheJanitor, ArtifactTreesGoFirstOldestIdFirstAndPinsHold) {
+  const fs::path store = scratch_dir("janitor_artifacts");
+  const scenario::ResultCache cache(store.string());
+  const std::string entry = seed_entry(cache, store, "aaaaaaaaaaaaaaaa", "leach_s1_h8_d0", 0.0, 0);
+  std::uint64_t entry_bytes = 0;
+  for (const scenario::CacheEntryInfo& info : cache.enumerate()) entry_bytes += info.bytes;
+  // Four 1000-byte trees.  s1 belongs to an in-flight sweep; s10 is the
+  // newest finished one (a name sort would put it before s2 and s3).
+  for (const char* id : {"s1", "s2", "s3", "s10"}) {
+    fs::create_directories(store / "artifacts" / id / "traces");
+    std::ofstream(store / "artifacts" / id / "out.csv") << std::string(600, 'x');
+    std::ofstream(store / "artifacts" / id / "traces" / "t.csv") << std::string(400, 'y');
+  }
+  const std::string in_flight = (store / "artifacts" / "s1").string();
+
+  // Budget 0 never looks at artifacts/.
+  CacheJanitor unbounded(store.string(), 0, [&] { return std::vector<std::string>{in_flight}; });
+  const JanitorReport idle = unbounded.sweep_once();
+  EXPECT_EQ(idle.artifact_trees, 0u);
+  EXPECT_EQ(idle.bytes_before, entry_bytes);
+
+  // Room for the entry and one and a half trees: s2 then s3 go, s10 and
+  // the pinned s1 stay, and no entry is scored out.
+  CacheJanitor janitor(store.string(), entry_bytes + 1500,
+                       [&] { return std::vector<std::string>{in_flight}; });
+  const JanitorReport report = janitor.sweep_once();
+  EXPECT_EQ(report.artifact_trees, 3u);  // finished trees only
+  EXPECT_EQ(report.bytes_before, entry_bytes + 3000);
+  EXPECT_EQ(report.artifacts_removed, 2u);
+  EXPECT_EQ(report.artifact_bytes_removed, 2000u);
+  EXPECT_EQ(report.bytes_after, entry_bytes + 1000);
+  EXPECT_EQ(report.evicted, 0u);
+  EXPECT_TRUE(fs::exists(store / "artifacts" / "s1"));
+  EXPECT_FALSE(fs::exists(store / "artifacts" / "s2"));
+  EXPECT_FALSE(fs::exists(store / "artifacts" / "s3"));
+  EXPECT_TRUE(fs::exists(store / "artifacts" / "s10"));
+  EXPECT_TRUE(fs::exists(entry));
   fs::remove_all(store);
 }
 
